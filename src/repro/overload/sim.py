@@ -26,6 +26,8 @@ The plain (``overload=None``) simulator path is untouched — zero-cost-off.
 
 from __future__ import annotations
 
+from math import log
+
 from repro.common.errors import SimulationError
 from repro.common.rng import SeedStream
 from repro.common.stats import arithmetic_mean, percentile
@@ -68,7 +70,7 @@ def overload_open_loop(
     with neither set every completion is good).  ``series_slice`` turns on
     the per-slice time series the metastable report renders.
     """
-    from repro.ycsb.eventsim import OpenLoopResult, _exponential, _pick_class
+    from repro.ycsb.eventsim import OpenLoopResult, _pick_class, station_routes
 
     if rate <= 0:
         raise SimulationError(f"arrival rate must be > 0, got {rate:g}")
@@ -99,6 +101,7 @@ def overload_open_loop(
         )
         for s in stations
     }
+    routes = station_routes(stations, resources, mix)
     pool = Resource(env, workers) if workers is not None else None
     seeds = SeedStream(seed)
     slo = slo_s if slo_s is not None else policy.deadline_s
@@ -226,11 +229,8 @@ def overload_open_loop(
                 counters["lag"] = max(
                     counters["lag"], env.now - state["intended"])
         ok = True
-        for station in stations:
-            mean = station.service.get(op_class, 0.0)
-            if mean <= 0.0:
-                continue
-            resource = resources[station.name]
+        random_float = rng.random_float
+        for name, resource, mean in routes[op_class]:
             if deadline is not None and env.now >= deadline:
                 state["last_shed"] = SHED_DEADLINE
                 ok = False
@@ -248,14 +248,14 @@ def overload_open_loop(
                 state["last_shed"] = SHED_DEADLINE
                 ok = False
                 break
-            service = _exponential(rng, mean)
+            service = -mean * log(1.0 - random_float())
             if station_faults:
-                service *= station_faults.slowdown(station.name, env.now)
+                service *= station_faults.slowdown(name, env.now)
             yield env.timeout(service)
             resource.release()
             if station_faults:
                 probability = station_faults.error_probability(
-                    station.name, env.now)
+                    name, env.now)
                 if probability > 0.0 and fault_rng.random_float() < probability:
                     state["last_shed"] = SHED_FAULT
                     ok = False

@@ -6,12 +6,16 @@ simulated processes are plain Python generators that ``yield`` events
 virtual clock.  The design mirrors SimPy's process-interaction style but is
 self-contained (no external dependency) and fully deterministic: ties in the
 event heap are broken by insertion order.
+
+Every event fires through the one dispatch loop in :meth:`Environment.run`.
+Events are slotted objects and a :class:`Timeout` pushes its heap entry
+directly, because the simulators create several of each per simulated op.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Generator
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.common.errors import SimulationError
@@ -24,11 +28,15 @@ class Event:
     point every waiting process is resumed with :attr:`value`.
     """
 
+    # ``_fired`` is set once the event loop has dispatched the event.
+    __slots__ = ("env", "triggered", "value", "_callbacks", "_fired")
+
     def __init__(self, env: "Environment"):
         self.env = env
         self.triggered = False
         self.value: Any = None
         self._callbacks: list[Callable[["Event"], None]] = []
+        self._fired = False
 
     def succeed(self, value: Any = None) -> "Event":
         """Schedule this event to fire now; idempotence is an error."""
@@ -36,30 +44,34 @@ class Event:
             raise SimulationError("event already triggered")
         self.triggered = True
         self.value = value
-        self.env._schedule(self)
+        env = self.env
+        env._sequence += 1
+        heappush(env._queue, (env.now, env._sequence, self))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` when the event fires (immediately if fired)."""
-        if self.triggered and self._fired:
+        if self._fired:
             callback(self)
         else:
             self._callbacks.append(callback)
-
-    # Internal: set once the event loop has dispatched the event.
-    _fired = False
 
 
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
+    __slots__ = ()
+
     def __init__(self, env: "Environment", delay: float):
         if delay < 0:
             raise SimulationError(f"negative timeout {delay}")
-        super().__init__(env)
+        self.env = env
         self.triggered = True
         self.value = None
-        env._schedule(self, delay)
+        self._callbacks = []
+        self._fired = False
+        env._sequence += 1
+        heappush(env._queue, (env.now + delay, env._sequence, self))
 
 
 class Process(Event):
@@ -71,18 +83,25 @@ class Process(Event):
     wait on each other (fork/join).
     """
 
+    __slots__ = ("_generator", "_resume_callback")
+
     def __init__(self, env: "Environment", generator: Generator):
         super().__init__(env)
         self._generator = generator
+        # One bound method for every wait.  It refers back to the process,
+        # so it is dropped when the generator returns: a finished process
+        # is then freed by reference counting, not by the cyclic collector.
+        self._resume_callback = self._resume
         # Bootstrap: resume once at the current time.
         bootstrap = Event(env)
         bootstrap.succeed()
-        bootstrap.add_callback(self._resume)
+        bootstrap._callbacks.append(self._resume_callback)
 
     def _resume(self, event: Event) -> None:
         try:
             target = self._generator.send(event.value)
         except StopIteration as stop:
+            self._resume_callback = None
             if not self.triggered:
                 self.succeed(stop.value)
             return
@@ -90,7 +109,10 @@ class Process(Event):
             raise SimulationError(
                 f"process yielded {target!r}; processes must yield Event objects"
             )
-        target.add_callback(self._resume)
+        if target._fired:
+            self._resume(target)
+        else:
+            target._callbacks.append(self._resume_callback)
 
 
 class Environment:
@@ -99,10 +121,10 @@ class Environment:
     ``tracer``, ``metrics`` and ``sampler`` (see :mod:`repro.obs`) are
     optional hooks: when attached, named :class:`Resource` instances emit
     wait/hold spans, queueing counters, and busy/queue-depth utilization
-    series.  ``prof`` (a :class:`repro.obs.prof.ProfiledRun`) charges the
-    dispatch loop's wall time to the ``eventsim.loop`` subsystem counter.
-    When left ``None`` — the default — the loop and the resources run
-    exactly the uninstrumented code path.
+    series.  ``prof`` (a :class:`repro.obs.prof.ProfiledRun`) charges each
+    :meth:`run` call's wall time to the ``eventsim.loop`` subsystem counter
+    and counts the events it dispatched.  The dispatch loop is the same
+    with or without hooks; ``prof`` is looked at once per :meth:`run`.
     """
 
     def __init__(self, tracer=None, metrics=None, sampler=None, prof=None):
@@ -112,11 +134,8 @@ class Environment:
         self.sampler = sampler
         self.prof = prof
         self._queue: list[tuple[float, int, Event]] = []
+        # Bumped by every heap push, so pushes = sequence delta.
         self._sequence = 0
-
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        self._sequence += 1
-        heapq.heappush(self._queue, (self.now + delay, self._sequence, event))
 
     def timeout(self, delay: float) -> Timeout:
         """Return an event that fires ``delay`` simulated seconds from now."""
@@ -132,53 +151,36 @@ class Environment:
 
     def run(self, until: Optional[float] = None) -> None:
         """Dispatch events until the queue drains or the clock passes ``until``."""
-        if self.prof is not None:
-            return self._run_profiled(until)
-        while self._queue:
-            when, _seq, event = self._queue[0]
-            if until is not None and when > until:
-                self.now = until
-                return
-            heapq.heappop(self._queue)
-            self.now = when
-            event._fired = True
-            callbacks, event._callbacks = event._callbacks, []
-            for callback in callbacks:
-                callback(event)
-        if until is not None:
-            self.now = until
-
-    def _run_profiled(self, until: Optional[float] = None) -> None:
-        """The same dispatch loop, bracketed by the ``eventsim.loop`` counter.
-
-        Kept as a separate duplicate so the unprofiled :meth:`run` stays
-        byte-for-byte the pre-instrumentation hot path (zero-cost-off).
-        The callbacks dispatched here include every instrumented producer
-        (digest updates, span construction), whose own counters nest inside
-        this one — self-vs-total accounting separates them back out.
-        """
+        queue = self._queue
         prof = self.prof
-        events = 0
-        prof.enter("eventsim.loop")
+        if prof is not None:
+            pushed_before, queued_before = self._sequence, len(queue)
+            prof.enter("eventsim.loop")
+        limit = float("inf") if until is None else until
         try:
-            while self._queue:
-                when, _seq, event = self._queue[0]
-                if until is not None and when > until:
-                    self.now = until
-                    return
-                heapq.heappop(self._queue)
+            while queue:
+                when, sequence, event = heappop(queue)
+                if when > limit:
+                    # Put it back; (when, sequence) keys are unique, so the
+                    # dispatch order of the remaining events is unchanged.
+                    heappush(queue, (when, sequence, event))
+                    break
                 self.now = when
                 event._fired = True
-                callbacks, event._callbacks = event._callbacks, []
+                callbacks = event._callbacks
+                event._callbacks = None
                 for callback in callbacks:
                     callback(event)
-                events += 1
             if until is not None:
                 self.now = until
         finally:
-            prof.exit()
-            prof.count_events(events)
-            prof.note_virtual_time(self.now)
+            if prof is not None:
+                prof.exit()
+                # Every event pushed during the run and no longer queued
+                # was dispatched.
+                prof.count_events((self._sequence - pushed_before)
+                                  - (len(queue) - queued_before))
+                prof.note_virtual_time(self.now)
 
     def all_of(self, events: list[Event]) -> Event:
         """Return an event that fires once every event in ``events`` has fired."""

@@ -16,8 +16,8 @@ It serves two purposes:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from math import log
 
 from repro.common.errors import SimulationError
 from repro.common.rng import SeedStream, TpchRandom64
@@ -65,9 +65,24 @@ class EventSimResult:
         return self.completed_ops / attempted if attempted else 1.0
 
 
-def _exponential(rng: TpchRandom64, mean: float) -> float:
-    u = rng.random_float()
-    return -mean * math.log(1.0 - u) if mean > 0 else 0.0
+def station_routes(stations: list[SimStation], resources: dict,
+                   mix: dict) -> dict[str, list[tuple[str, object, float]]]:
+    """Per op class, the ``(station name, resource, mean)`` hops it visits.
+
+    Hops keep the station order and skip stations with no service for the
+    class, so a client walks its route without a per-visit lookup.  Every
+    hop's mean is positive, so clients draw its exponential service time
+    as ``-mean * log(1.0 - u)`` with no guard.
+    """
+    routes = {}
+    for op_class in mix:
+        hops = []
+        for station in stations:
+            mean = station.service.get(op_class, 0.0)
+            if mean > 0.0:
+                hops.append((station.name, resources[station.name], mean))
+        routes[op_class] = hops
+    return routes
 
 
 def _pick_class(rng: TpchRandom64, mix: dict) -> str:
@@ -217,31 +232,31 @@ def simulate_closed_loop(
                 env.process(crash_driver(resources[s.name], s.servers,
                                          crash_windows))
 
+    routes = station_routes(stations, resources, mix)
+
     def client(index: int):
         rng = seeds.rng_for("client", index)
+        random_float = rng.random_float
+        timeout = env.timeout
         fault_rng = seeds.rng_for("fault", index) if station_faults else None
         while True:
             if think_time > 0:
-                yield env.timeout(_exponential(rng, think_time))
+                yield timeout(-think_time * log(1.0 - random_float()))
             op_class = _pick_class(rng, mix)
             start = env.now
             failed = False
             attempts = 0
             op_spans = []  # visit/backoff spans to parent under the request
-            for station in stations:
-                mean = station.service.get(op_class, 0.0)
-                if mean <= 0.0:
-                    continue
-                resource = resources[station.name]
+            for name, resource, mean in routes[op_class]:
                 while True:
                     t_enter = env.now
                     grant = resource.request()
                     yield grant
                     t_granted = env.now
-                    service = _exponential(rng, mean)
+                    service = -mean * log(1.0 - random_float())
                     if station_faults:
-                        service *= station_faults.slowdown(station.name, env.now)
-                    yield env.timeout(service)
+                        service *= station_faults.slowdown(name, env.now)
+                    yield timeout(service)
                     # Release on the normal path only — no try/finally.  A
                     # ``finally`` here would also fire on GeneratorExit when the
                     # garbage collector finalizes clients left suspended at the
@@ -252,10 +267,10 @@ def simulate_closed_loop(
                         # One span per station visit, split into queueing wait
                         # and service — the what-if engine's lock-wait handle.
                         visit = tracer.add(
-                            f"visit.{station.name}", t_enter, env.now,
+                            f"visit.{name}", t_enter, env.now,
                             cat="visit", node="client",
                             lane=f"client-{index}",
-                            cls=op_class, station=station.name,
+                            cls=op_class, station=name,
                             wait=t_granted - t_enter,
                             service=env.now - t_granted,
                         )
@@ -269,7 +284,7 @@ def simulate_closed_loop(
                         op_spans.append(visit)
                     if station_faults:
                         probability = station_faults.error_probability(
-                            station.name, env.now
+                            name, env.now
                         )
                         if probability > 0.0 and fault_rng.random_float() < probability:
                             attempts += 1
@@ -291,7 +306,7 @@ def simulate_closed_loop(
                                 op_spans.append(backoff)
                             if metrics:
                                 metrics.counter("ycsb.retried_ops").inc()
-                            yield env.timeout(delay)
+                            yield timeout(delay)
                             continue  # retry this station visit
                     break
                 if failed:
@@ -637,6 +652,8 @@ def simulate_open_loop(
                 env.process(crash_driver(resources[s.name], s.servers,
                                          crash_windows))
 
+    routes = station_routes(stations, resources, mix)
+
     def operation(index: int, intended: float, measured: bool):
         rng = seeds.rng_for("op", index)
         fault_rng = seeds.rng_for("op-fault", index) if station_faults else None
@@ -660,28 +677,25 @@ def simulate_open_loop(
                 ))
         failed = False
         attempts = 0
-        for station in stations:
-            mean = station.service.get(op_class, 0.0)
-            if mean <= 0.0:
-                continue
-            resource = resources[station.name]
+        random_float = rng.random_float
+        for name, resource, mean in routes[op_class]:
             while True:
                 t_enter = env.now
                 grant = resource.request()
                 yield grant
                 t_granted = env.now
-                service = _exponential(rng, mean)
+                service = -mean * log(1.0 - random_float())
                 if station_faults:
-                    service *= station_faults.slowdown(station.name, env.now)
+                    service *= station_faults.slowdown(name, env.now)
                 yield env.timeout(service)
                 # Release on the normal path only (see the closed loop's
                 # note on GC-time phantom spans).
                 resource.release()
                 if tracer:
                     visit = tracer.add(
-                        f"visit.{station.name}", t_enter, env.now,
+                        f"visit.{name}", t_enter, env.now,
                         cat="visit", node="client", lane=f"op-{index}",
-                        cls=op_class, station=station.name,
+                        cls=op_class, station=name,
                         wait=t_granted - t_enter,
                         service=env.now - t_granted,
                     )
@@ -694,7 +708,7 @@ def simulate_open_loop(
                     op_spans.append(visit)
                 if station_faults:
                     probability = station_faults.error_probability(
-                        station.name, env.now
+                        name, env.now
                     )
                     if probability > 0.0 and fault_rng.random_float() < probability:
                         attempts += 1

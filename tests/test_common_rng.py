@@ -69,6 +69,15 @@ class TestTpchRandom64:
             assert 0.0 <= rng.random_float() < 1.0
             assert 2.0 <= rng.uniform(2.0, 3.0) < 3.0
 
+    @given(st.integers(min_value=-(2**65), max_value=2**65))
+    @settings(max_examples=200)
+    def test_random_float_is_next_raw_scaled(self, seed):
+        """The inlined splitmix64 step in random_float keeps next_raw's bits."""
+        rng, twin = TpchRandom64(seed), TpchRandom64(seed)
+        for _ in range(3):
+            assert rng.random_float() == twin.next_raw() / 2**64
+            assert rng._state == twin._state
+
     def test_choice_and_shuffle(self):
         rng = TpchRandom64(seed=3)
         items = list(range(20))

@@ -3,11 +3,16 @@
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.faults.plan import FaultPlan
+from repro.obs.live import LiveTelemetry
+from repro.overload.policy import OverloadPolicy
+from repro.overload.sim import overload_open_loop
 from repro.ycsb.eventsim import (
     EventSimResult,
     SimStation,
     mva_prediction,
     simulate_closed_loop,
+    simulate_open_loop,
 )
 
 
@@ -135,3 +140,100 @@ class TestHistogramIntegration:
         # YCSB bucket semantics round up to the bucket edge.
         assert hist.percentile(95) >= result.latency_p95["read"] - hist.bucket_width
         assert "AverageLatency" in hist.render("READ")
+
+
+class TestSchedulePin:
+    """Literal outputs of small cells, fixed before the kernel was slimmed.
+
+    The determinism tests above compare a run with a run of the same code.
+    These compare with numbers recorded from an earlier version of the
+    kernel and the three client loops, so a change that reorders events,
+    draws a random number in a different order or skips a fault query
+    fails here even if it is deterministic.
+    """
+
+    STATIONS = [
+        SimStation("cpu", 2, {"read": 0.004, "update": 0.006}),
+        SimStation("lock", 1, {"update": 0.002}),
+        SimStation("disk", 1, {"read": 0.003, "update": 0.003}),
+    ]
+    MIX = {"read": 0.5, "update": 0.5}
+    FAULTS = "crash:cpu@3+2x0.5;op-error:disk@2+3x0.3;disk-stall:disk@4+1x3"
+
+    def _closed(self, **kwargs):
+        return simulate_closed_loop(
+            self.STATIONS, self.MIX, clients=6, think_time=0.01,
+            duration=8.0, warmup=2.0, windows=4, seed=17, **kwargs)
+
+    def _open(self, **kwargs):
+        return simulate_open_loop(
+            self.STATIONS, self.MIX, rate=300.0, duration=6.0, warmup=1.0,
+            windows=4, seed=5, **kwargs)
+
+    def _overload(self, **kwargs):
+        return overload_open_loop(
+            self.STATIONS, self.MIX, rate=700.0,
+            policy=OverloadPolicy.parse("default"), duration=6.0, warmup=1.0,
+            windows=4, seed=5, **kwargs)
+
+    @staticmethod
+    def _assert_pinned(result, ops, throughput, p99, windows, shed=None):
+        assert result.completed_ops == ops
+        assert result.throughput == throughput
+        assert {c: repr(v) for c, v in result.latency_p99.items()} == p99
+        assert result.window_throughputs == windows
+        if shed is not None:
+            assert result.shed == shed
+
+    def test_closed_loop(self):
+        self._assert_pinned(
+            self._closed(), 1489, 248.16666666666666,
+            {"read": "0.029699837103302484", "update": "0.045331063662442314"},
+            [240.0, 250.66666666666666, 242.66666666666666, 259.3333333333333])
+
+    def test_closed_loop_with_faults(self):
+        result = self._closed(faults=FaultPlan.parse(self.FAULTS))
+        self._assert_pinned(
+            result, 1025, 170.83333333333334,
+            {"read": "0.17737586374528158", "update": "0.18093279360438425"},
+            [119.33333333333333, 79.33333333333333, 242.66666666666666, 242.0])
+        assert result.errors == {"update": 1}
+        assert result.retried_ops == 125
+        assert result.backoff_seconds == 8.399999999999986
+
+    def test_open_loop_unbounded(self):
+        self._assert_pinned(
+            self._open(), 1489, 297.8,
+            {"read": "0.20159101955626468", "update": "0.20107982219645265"},
+            [269.6, 282.4, 344.8, 294.4], shed={})
+
+    def test_open_loop_bounded_with_live(self):
+        result = self._open(workers=4, live=LiveTelemetry(slice_s=1.0),
+                            bounded=True)
+        self._assert_pinned(
+            result, 1257, 251.4,
+            {"read": "0.8570452249641718", "update": "0.8998974862123805"},
+            [193.6, 262.4, 278.4, 271.2], shed={})
+
+    def test_open_loop_with_faults(self):
+        result = self._open(faults=FaultPlan.parse(self.FAULTS))
+        self._assert_pinned(
+            result, 1143, 228.6,
+            {"read": "1.5162433669115993", "update": "1.4459656160365189"},
+            [264.0, 217.6, 148.8, 284.0], shed={})
+        assert result.errors == {"update": 1}
+        assert result.retried_ops == 212
+        assert result.backoff_seconds == 14.100000000000028
+
+    def test_overload_default_policy(self):
+        self._assert_pinned(
+            self._overload(), 1501, 300.2,
+            {"read": "0.4071527814713754", "update": "0.4185030492235152"},
+            [250.4, 311.2, 315.2, 324.0], shed={"queue-full": 1902})
+
+    def test_overload_with_faults(self):
+        self._assert_pinned(
+            self._overload(faults=FaultPlan.parse(self.FAULTS)), 1045, 209.0,
+            {"read": "0.5151577400585097", "update": "0.5096745142801777"},
+            [227.2, 229.6, 101.6, 277.6],
+            shed={"deadline": 75, "fault": 198, "queue-full": 2085})

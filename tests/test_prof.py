@@ -278,22 +278,35 @@ class TestZeroCostOff:
                              duration=4.0, warmup=1.0, seed=3)
         assert calls["n"] == 0
 
-    def test_unprofiled_run_method_is_the_plain_loop(self):
-        """Environment.run without prof never calls _run_profiled."""
+    def test_profiled_run_counts_every_dispatched_event(self):
+        """prof.events equals the callbacks the one dispatch loop ran.
+
+        Counted across two run() calls, with events left queued past
+        ``until`` and events queued before the first run.
+        """
         from repro.simcluster.events import Environment
 
-        env = Environment()
-        assert env.prof is None
-        called = {"n": 0}
-        original = env._run_profiled
+        prof = ProfiledRun(sample=False).start()
+        env = Environment(prof=prof)
+        fired = []  # every event below has exactly one callback
 
-        def spy(until=None):
-            called["n"] += 1
-            return original(until)
+        def ticker(period):
+            while True:
+                fired.append(env.now)  # bootstrap, then each timeout
+                yield env.timeout(period)
 
-        env._run_profiled = spy
+        env.process(ticker(0.3))
+        env.process(ticker(0.7))
+        for delay in (0.5, 1.5, 9.0):
+            env.timeout(delay).add_callback(lambda event: fired.append(env.now))
         env.run(until=1.0)
-        assert called["n"] == 0
+        first = len(fired)
+        assert prof.events == first
+        env.run(until=2.0)
+        prof.stop()
+        assert prof.events == len(fired) > first
+        assert prof.subsystem_table()["eventsim.loop"]["calls"] == 2
+        assert prof.virtual_s == 2.0
 
 
 class TestProfReport:

@@ -2,9 +2,12 @@
 
 These pin down the corner semantics the tracing layer (and everything else)
 relies on: zero-delay timeouts still go through the queue, heap ties resolve
-in insertion order, double-``succeed`` is an error, and callbacks added
-after an event fired run immediately.
+in insertion order, double-``succeed`` is an error, callbacks added
+after an event fired run immediately, and a finished process leaves no
+reference cycle behind.
 """
+
+import gc
 
 import pytest
 
@@ -129,6 +132,64 @@ class TestDoubleSucceed:
         env.run()
         assert p.triggered
         assert p.value == "done"
+
+
+class TestKernelChecks:
+    def test_negative_timeout_raises(self):
+        env = Environment()
+        with pytest.raises(SimulationError, match="negative timeout"):
+            env.timeout(-1)
+        env.run()
+        assert env.now == 0.0
+
+    def test_yielding_a_non_event_raises(self):
+        env = Environment()
+
+        def proc():
+            yield 3
+
+        env.process(proc())
+        with pytest.raises(SimulationError, match="must yield Event"):
+            env.run()
+
+
+class TestFinishedProcessesAreFreed:
+    def test_finished_processes_leave_no_cycles(self):
+        """Finished processes are freed by reference counting alone.
+
+        A process caches its resume callback, a bound method that refers
+        back to the process; the cache is dropped when the generator
+        returns.  If it were kept, every finished per-op process would wait
+        for the cyclic collector and an open-loop run's memory would grow.
+        """
+        env = Environment()
+        resource = Resource(env, capacity=2)
+
+        def op(i):
+            yield resource.request()
+            yield env.timeout(0.001 * (i % 7))
+            resource.release()
+            return i
+
+        def source():
+            for i in range(300):
+                env.process(op(i))
+                yield env.timeout(0.0005)
+
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            env.process(source())
+            env.run()
+            assert resource.total_grants == 300
+            gc.collect()
+            leaked = [obj for obj in gc.garbage if isinstance(obj, Event)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []
 
 
 class TestLateCallbacks:
