@@ -132,7 +132,8 @@ def migrate_chunk(config: ConfigServer, chunk: Chunk, shards: list,
     3. only then flip ownership and bump the metadata version, and finally
        delete from the source.  A source crash during the deletes leaves
        strays that routing can no longer see; they are queued on ``cleanup``
-       for retry rather than ever deleting before the flip.
+       as ``(shard, keys)`` for retry rather than ever deleting before the
+       flip.
 
     Both abort paths surface as the typed :class:`ShardUnavailable` naming
     the dead shard, so a balancer round racing a ``kill_shard`` fails
@@ -177,7 +178,7 @@ def migrate_chunk(config: ConfigServer, chunk: Chunk, shards: list,
             shards[source].remove(collection, key)
     except ServerCrashed:
         if cleanup is not None:
-            cleanup.append((source, collection, list(copied)))
+            cleanup.append((source, list(copied)))
     if tracer:
         tracer.add(
             "chunk.migrate", float(index), float(index + 1),

@@ -25,6 +25,7 @@ from repro.common.errors import (
     FaultPlanError,
     ServerCrashed,
     ShardUnavailable,
+    ShardingError,
     StaleConfigError,
     WorkloadError,
 )
@@ -262,19 +263,29 @@ class FaultedYcsbRun:
             )
 
     def _fire_topology_fault(self, fault) -> dict:
-        """Apply a live-resharding event (needs an elastic cluster)."""
+        """Apply a live-resharding event (needs an elastic cluster).
+
+        A plan the cluster's own topology guards reject (no such shard, a
+        scale target that does not grow, a second drain of one shard) is a
+        malformed plan, not a crash.
+        """
         if not hasattr(self.cluster, "scale_to"):
             raise FaultPlanError(
                 f"fault {fault.spec_string()!r} reshapes the cluster but "
                 "this cluster type does not support live resharding"
             )
-        if fault.kind == "scale":
-            count = fault.scale_target()
-            queued = self.cluster.scale_to(count, now=self.now)
-            return {"shards": count, "migrations": queued}
-        index = fault.drain_target()
-        queued = self.cluster.drain_shard(index, now=self.now)
-        return {"shard": index, "migrations": queued}
+        try:
+            if fault.kind == "scale":
+                count = fault.scale_target()
+                queued = self.cluster.scale_to(count, now=self.now)
+                return {"shards": count, "migrations": queued}
+            index = fault.drain_target()
+            queued = self.cluster.drain_shard(index, now=self.now)
+            return {"shard": index, "migrations": queued}
+        except ShardingError as exc:
+            raise FaultPlanError(
+                f"fault {fault.spec_string()!r} cannot apply: {exc}"
+            ) from exc
 
     def _tick_cluster(self, at: float | None = None) -> None:
         """Advance replica-set clocks (oplog shipping, flushes, elections)."""

@@ -5,34 +5,28 @@ routing Mongo-CS uses, so the two are directly comparable); scans must be
 broadcast to every node and merged, which is why SQL-CS loses workload E to
 the range-partitioned Mongo-AS.
 
-``elastic=True`` (PR 8) swaps mod-N routing for the same consistent-hash
-ring Mongo-CS uses, enabling live ``scale_to``/``drain_shard`` through an
-attached :class:`~repro.docstore.reshard.MigrationEngine` — each handed-off
-arc is copied row by row through real transactions (X locks, WAL DELETE
-records on the source), so the elephants pay full ACID freight for their
-elasticity.  The default stays byte-identical to the paper's deployment.
+Routing, elastic resharding, shard-failure mapping, the broadcast scan and
+the replication surface are :class:`~repro.docstore.cluster.HashShardedCluster`'s,
+shared with Mongo-CS, so the two differ only in the storage engine.  This
+module supplies the SQL Server side: how to build a shard and the one-shard
+storage calls.  Under ``elastic=True`` each handed-off arc is copied row by
+row through real transactions (X locks, WAL DELETE records on the source),
+so the elephants pay full ACID freight for their elasticity.
 """
 
 from __future__ import annotations
 
-from repro.common.errors import (
-    ChunkMoving,
-    ConfigurationError,
-    ServerCrashed,
-    ShardUnavailable,
-    ShardingError,
-)
-from repro.docstore.cluster import hash_shard
-from repro.docstore.reshard import Migration, MigrationEngine
-from repro.docstore.ring import HashRing, vnode_point
+from repro.docstore.cluster import HashShardedCluster
 from repro.sqlstore.locks import IsolationLevel
 from repro.sqlstore.server import SqlServerNode
 
 _KEY_MAX = "￿"  # sorts after every YCSB key
 
 
-class SqlCsCluster:
+class SqlCsCluster(HashShardedCluster):
     """Client-side sharded SQL Server (one SqlServerNode per shard)."""
+
+    _key_field = "_key"
 
     def __init__(
         self,
@@ -44,24 +38,13 @@ class SqlCsCluster:
         metrics=None,
         elastic: bool = False,
     ):
-        if shard_count < 1:
-            raise ShardingError("need at least one shard")
         self.mirrored = mirrored
         self.pool_pages = pool_pages
         self.isolation = isolation
-        self.tracer = tracer
-        self.metrics = metrics
-        self.shards = [
-            self._build_shard(i) for i in range(shard_count)
-        ]
-        self.ring: HashRing | None = (
-            HashRing(range(shard_count)) if elastic else None
-        )
-        self._engine: MigrationEngine | None = None
-        self._retired: set[int] = set()
-        self._pending_cleanup: list = []
-        self._pending_io = 0.0
-        self._now = 0.0
+        # A mirrored shard keeps ack bookkeeping, but commits synchronously:
+        # there is no replica clock to tick.
+        super().__init__(shard_count, tracer=tracer, metrics=metrics,
+                         acked=mirrored, elastic=elastic)
 
     def _build_shard(self, index: int):
         if self.mirrored:
@@ -76,302 +59,24 @@ class SqlCsCluster:
             isolation=self.isolation,
         )
 
-    # -- live resharding ---------------------------------------------------------
+    def _insert(self, shard: int, key: str, record: dict) -> None:
+        self.shards[shard].insert(key, record)
 
-    @property
-    def reshard_engine(self) -> MigrationEngine | None:
-        return self._engine
+    def _read(self, shard: int, key: str) -> dict | None:
+        return self.shards[shard].read(key)
 
-    @property
-    def retired_shards(self) -> set[int]:
-        return set(self._retired)
+    def _update(self, shard: int, key: str, fieldname: str, value: str) -> bool:
+        return self.shards[shard].update(key, fieldname, value)
 
-    def attach_reshard(self, throttle: float = 1.0,
-                       offered_load: float = 0.7) -> MigrationEngine:
-        if self.ring is None:
-            raise ConfigurationError(
-                "live resharding needs the consistent-hash ring; construct "
-                "the cluster with elastic=True"
-            )
-        self._engine = MigrationEngine(
-            self._shard_share, len(self.shards), throttle=throttle,
-            offered_load=offered_load, tracer=self.tracer,
-            metrics=self.metrics,
-        )
-        return self._engine
+    def _scan(self, shard: int, start_key: str, count: int) -> list[dict]:
+        return self.shards[shard].scan(start_key, count)
 
-    def _require_engine(self) -> MigrationEngine:
-        if self._engine is None:
-            raise ConfigurationError(
-                "live resharding requires a migration engine "
-                "(run with --reshard, or call attach_reshard())"
-            )
-        return self._engine
+    def _keys(self, shard: int) -> list[str]:
+        return self.shards[shard].keys_in_range("", _KEY_MAX)
 
-    def _shard_share(self, shard: int) -> float:
-        if self.ring is None:
-            return 1.0 / len(self.shards)
-        return self.ring.shares().get(shard, 0.0)
-
-    def scale_to(self, count: int, now: float = 0.0) -> int:
-        """Grow to ``count`` shards; ring arcs hand off to the new nodes."""
-        self._require_engine()
-        if count <= len(self.shards):
-            raise ShardingError(
-                f"scale target {count} does not grow the {len(self.shards)}-"
-                f"shard cluster; use drain_shard to scale down"
-            )
-        added = list(range(len(self.shards), count))
-        for i in added:
-            self.shards.append(self._build_shard(i))
-        old_ring = self.ring
-        self.ring = old_ring.with_nodes(
-            [i for i in range(count) if i not in self._retired])
-        return self._submit_arc_handoffs(old_ring, self.ring, added,
-                                         adding=True, now=now)
-
-    def drain_shard(self, index: int, now: float = 0.0) -> int:
-        """Retire one shard; its ring arcs hand off to the survivors."""
-        self._require_engine()
-        if not 0 <= index < len(self.shards):
-            raise ShardingError(f"no shard {index} to drain")
-        if index in self._retired:
-            raise ShardingError(f"shard {index} is already drained")
-        if len(self.shards) - len(self._retired) < 2:
-            raise ShardingError("cannot drain the last active shard")
-        self._retired.add(index)
-        old_ring = self.ring
-        self.ring = old_ring.with_nodes(
-            [i for i in range(len(self.shards)) if i not in self._retired])
-        return self._submit_arc_handoffs(old_ring, self.ring, [index],
-                                         adding=False, now=now)
-
-    def _submit_arc_handoffs(self, old_ring: HashRing, new_ring: HashRing,
-                             changed: list[int], adding: bool,
-                             now: float) -> int:
-        """Same storage-free arc-pair planning as elastic Mongo-CS (see
-        ``MongoCsCluster._submit_arc_handoffs``): pairs come from ring
-        geometry; membership is the pure old-owner/new-owner predicate."""
-        pairs: set[tuple[int, int]] = set()
-        for node in changed:
-            for replica in range(old_ring.vnodes):
-                point = vnode_point(node, replica)
-                if adding:
-                    pairs.add((old_ring.owner_of_hash(point), node))
-                else:
-                    pairs.add((node, new_ring.owner_of_hash(point)))
-        queued = 0
-        for source, dest in sorted(p for p in pairs if p[0] != p[1]):
-            def covers(key: str, s=source, d=dest) -> bool:
-                return (old_ring.node_for(key) == s
-                        and new_ring.node_for(key) == d)
-            self._engine.submit(Migration(
-                source=source, target=dest,
-                label=f"arc@{source}->{dest}",
-                covers=covers,
-                count_docs=lambda s=source, c=covers: len(
-                    self._keys_on(s, c)),
-                commit=lambda s=source, d=dest, c=covers:
-                    self._commit_arc(s, d, c),
-            ), now)
-            queued += 1
-        return queued
-
-    def _keys_on(self, shard: int, covers) -> list[str]:
-        try:
-            keys = self.shards[shard].keys_in_range("", _KEY_MAX)
-        except ServerCrashed:
-            return []  # sizing only; the commit path retries until reachable
-        return [k for k in keys if covers(k)]
-
-    def _commit_arc(self, source: int, dest: int, covers) -> int:
-        """Copy an arc's rows to the new owner; abort-safe, delete-after-flip
-        (the ordering rationale is documented on the Mongo-CS twin).  A dead
-        source aborts rather than committing an empty snapshot — a vacuous
-        flip would strand the rows on the crashed shard."""
-        try:
-            keys = [k for k in self.shards[source].keys_in_range("", _KEY_MAX)
-                    if covers(k)]
-        except ServerCrashed as exc:
-            raise ShardUnavailable(
-                f"arc handoff aborted: source shard {source} is "
-                f"unavailable: {exc}", shard=source,
-            ) from exc
-        copied: list[str] = []
-        try:
-            for key in keys:
-                row = self.shards[source].read(key)
-                if row is None:
-                    continue
-                self.shards[dest].remove(key)
-                self.shards[dest].insert(key, row)
-                copied.append(key)
-        except ServerCrashed as exc:
-            try:
-                for key in copied:
-                    self.shards[dest].remove(key)
-            except ServerCrashed:
-                pass  # dest died holding strays; the next attempt clears them
-            dead = dest if not self._alive(dest) else source
-            raise ShardUnavailable(
-                f"arc handoff aborted: shard {dead} is unavailable: {exc}",
-                shard=dead,
-            ) from exc
-        finally:
-            self._drain_backfill_noise(source, dest)
-        if copied:
-            self._pending_cleanup.append((source, copied))
-        return len(copied)
-
-    def _alive(self, index: int) -> bool:
-        return bool(self.shards[index].alive)
-
-    def _drain_backfill_noise(self, *shard_indices: int) -> None:
-        """Keep the handoff's mirror traffic out of client ack accounting."""
-        if not self.mirrored:
-            return
-        for index in shard_indices:
-            shard = self.shards[index]
-            shard.consume_ack_delay()
-            while shard.take_last_write() is not None:
-                pass
-
-    def _retry_cleanup(self) -> None:
-        if not self._pending_cleanup:
-            return
-        remaining = []
-        for shard_index, keys in self._pending_cleanup:
-            try:
-                for key in keys:
-                    self.shards[shard_index].remove(key)
-            except ServerCrashed:
-                remaining.append((shard_index, keys))
-        self._pending_cleanup = remaining
-
-    def _guard_moving(self, key: str) -> None:
-        if self._engine is None:
-            return
-        frozen = self._engine.frozen_shard(key, self._now)
-        if frozen is not None:
-            raise ChunkMoving(
-                f"key {key!r} is inside a migration commit window",
-                shard=frozen,
-            )
-
-    def _charge_io(self, shard: int) -> None:
-        if self._engine is not None:
-            self._pending_io += self._engine.op_cost(shard, self._now)
-
-    def _note_write(self, key: str) -> None:
-        if self._engine is not None:
-            self._engine.note_write(key)
-
-    def consume_io_wait(self) -> float:
-        """Disk-queueing + utilization latency owed by the ops since the
-        last call (zero unless a migration engine is attached)."""
-        owed, self._pending_io = self._pending_io, 0.0
-        return owed
-
-    # -- routing ----------------------------------------------------------------
-
-    def _shard_index(self, key: str) -> int:
-        if self.ring is None:
-            return hash_shard(key, len(self.shards))
-        if self._engine is not None and not self._engine.idle:
-            override = self._engine.route_override(key)
-            if override is not None:
-                return override  # mid-handoff keys stay with the old owner
-        return self.ring.node_for(key)
-
-    def _shard(self, key: str) -> SqlServerNode:
-        return self.shards[self._shard_index(key)]
-
-    def _on_shard(self, index: int, operation):
-        """A dead server surfaces as the typed routing failure the client
-        driver sees (connection refused -> shard unavailable)."""
-        try:
-            return operation()
-        except ServerCrashed as exc:
-            raise ShardUnavailable(
-                f"shard {index} ({self.shards[index].name}) is unavailable: {exc}",
-                shard=index,
-            ) from exc
-
-    def insert(self, key: str, record: dict) -> None:
-        self._guard_moving(key)
-        index = self._shard_index(key)
-        self._charge_io(index)
-        self._on_shard(index, lambda: self.shards[index].insert(key, record))
-        self._note_write(key)
-
-    def read(self, key: str):
-        self._guard_moving(key)
-        index = self._shard_index(key)
-        self._charge_io(index)
-        return self._on_shard(index, lambda: self.shards[index].read(key))
-
-    def update(self, key: str, fieldname: str, value: str) -> bool:
-        self._guard_moving(key)
-        index = self._shard_index(key)
-        self._charge_io(index)
-        changed = self._on_shard(
-            index, lambda: self.shards[index].update(key, fieldname, value)
-        )
-        if changed:
-            self._note_write(key)
-        return changed
-
-    def scan(self, start_key: str, count: int) -> list[dict]:
-        """Broadcast the range to every shard and merge (hash sharding)."""
-        partials: list[dict] = []
-        for index, shard in enumerate(self.shards):
-            if index in self._retired and self.ring is not None:
-                continue  # a drained shard holds at most already-moved strays
-            rows = self._on_shard(
-                index, lambda s=shard: s.scan(start_key, count)
-            )
-            if self.ring is not None:
-                # Elastic mode can leave short-lived strays (post-flip,
-                # pre-cleanup); ownership filtering keeps scans exact.
-                rows = [r for r in rows
-                        if self._shard_index(r["_key"]) == index]
-            partials.extend(rows)
-        partials.sort(key=lambda r: r["_key"])
-        return partials[:count]
-
-    def shards_touched_by_scan(self, start_key: str, count: int) -> int:
-        return len(self.shards) - len(self._retired)
-
-    def kill_shard(self, index: int) -> None:
-        """Fault injection: one server node stops accepting connections."""
-        self.shards[index].kill()
-
-    def restart_shard(self, index: int) -> None:
-        self.shards[index].restart()
+    def _remove(self, shard: int, key: str) -> bool:
+        return self.shards[shard].remove(key)
 
     @property
     def row_count(self) -> int:
         return sum(s.row_count for s in self.shards)
-
-    # -- replication surface (no-ops without mirroring) --------------------------
-
-    def tick(self, now: float) -> None:
-        """Advance migrations; mirroring itself is synchronous (no accrual)."""
-        self._now = max(self._now, now)
-        if self._engine is not None:
-            self._engine.advance(self._now)
-            self._retry_cleanup()
-
-    def consume_ack_delay(self) -> float:
-        if not self.mirrored:
-            return 0.0
-        return sum(s.consume_ack_delay() for s in self.shards)
-
-    def take_last_write(self):
-        if not self.mirrored:
-            return None
-        for shard in self.shards:
-            write = shard.take_last_write()
-            if write is not None:
-                return write
-        return None

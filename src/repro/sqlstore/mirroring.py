@@ -31,11 +31,15 @@ class MirroredSqlServerNode:
     """A principal/mirror pair with synchronous commit and auto-failover.
 
     Presents the same surface as a bare :class:`SqlServerNode` (``insert``,
-    ``read``, ``update``, ``scan``, ``kill``, ``restart``, ``row_count``,
-    ``alive``) so :class:`repro.sqlstore.cluster.SqlCsCluster` can use one
-    per shard unchanged.  ``kill`` downs the current principal; if the
-    mirror is up it promotes at once, so the client sees retries at worst,
-    never lost committed writes.
+    ``read``, ``update``, ``scan``, ``remove``, ``keys_in_range``, ``kill``,
+    ``restart``, ``row_count``, ``alive``) so
+    :class:`repro.sqlstore.cluster.SqlCsCluster` can use one per shard
+    unchanged; its ack bookkeeping (``consume_ack_delay``,
+    ``take_last_write``) feeds the replication surface the cluster shares
+    with Mongo-CS through
+    :class:`~repro.docstore.cluster.HashShardedCluster`.  ``kill`` downs
+    the current principal; if the mirror is up it promotes at once, so the
+    client sees retries at worst, never lost committed writes.
     """
 
     def __init__(

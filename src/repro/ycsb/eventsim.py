@@ -72,7 +72,9 @@ def station_routes(stations: list[SimStation], resources: dict,
     Hops keep the station order and skip stations with no service for the
     class, so a client walks its route without a per-visit lookup.  Every
     hop's mean is positive, so clients draw its exponential service time
-    as ``-mean * log(1.0 - u)`` with no guard.
+    as ``-mean * log(1.0 - u)`` with no guard.  A class no station serves
+    is rejected: its ops would finish in zero time, and a closed-loop
+    client on an empty route never yields.
     """
     routes = {}
     for op_class in mix:
@@ -81,6 +83,9 @@ def station_routes(stations: list[SimStation], resources: dict,
             mean = station.service.get(op_class, 0.0)
             if mean > 0.0:
                 hops.append((station.name, resources[station.name], mean))
+        if not hops:
+            raise SimulationError(
+                f"no station serves op class {op_class!r}")
         routes[op_class] = hops
     return routes
 
@@ -602,8 +607,7 @@ def simulate_open_loop(
     uncorrected: dict[str, list[float]] = {c: [] for c in mix}
     error_latencies: dict[str, list[float]] = {c: [] for c in mix}
     pending: dict[int, float] = {}  # measured in-flight ops: index -> intended
-    counters = {"arrivals": 0, "started": 0, "finished": 0,
-                "retried": 0, "backoff": 0.0, "lag": 0.0}
+    counters = {"arrivals": 0, "retried": 0, "backoff": 0.0, "lag": 0.0}
     # Incremental window throughput (same arithmetic the old completions
     # list fed) plus, in bounded mode, a digest for the uncorrected pool.
     measure = duration - warmup
@@ -658,7 +662,6 @@ def simulate_open_loop(
         rng = seeds.rng_for("op", index)
         fault_rng = seeds.rng_for("op-fault", index) if station_faults else None
         op_class = _pick_class(rng, mix)
-        counters["started"] += 1
         if measured:
             pending[index] = intended
         dispatch = intended
@@ -752,7 +755,6 @@ def simulate_open_loop(
                 metrics.counter(f"ycsb.errors.{op_class}").inc()
         if measured:
             pending.pop(index, None)
-            counters["finished"] += 1
             if live:
                 live.record_op(env.now, env.now - intended, error=failed,
                                cls=op_class)

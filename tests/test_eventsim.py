@@ -29,6 +29,20 @@ class TestBasics:
         with pytest.raises(SimulationError):
             simulate_closed_loop(single_station(), {"read": 1.0}, clients=1,
                                  duration=5.0, warmup=10.0)
+        # A class no station serves: the closed loop used to spin forever
+        # on the empty route, the open loops to finish its ops in 0 s.
+        writes_only = [SimStation("disk", 1, {"update": 0.01})]
+        mix = {"read": 0.5, "update": 0.5}
+        with pytest.raises(SimulationError, match="'read'"):
+            simulate_closed_loop(writes_only, {"read": 1.0}, clients=2,
+                                 duration=5.0, warmup=1.0)
+        with pytest.raises(SimulationError, match="'read'"):
+            simulate_open_loop(writes_only, mix, rate=10.0, duration=5.0,
+                               warmup=1.0)
+        with pytest.raises(SimulationError, match="'read'"):
+            overload_open_loop(writes_only, mix, 10.0,
+                               OverloadPolicy.parse("default"),
+                               duration=5.0, warmup=1.0)
 
     def test_deterministic_given_seed(self):
         a = simulate_closed_loop(single_station(), {"read": 1.0}, clients=4,

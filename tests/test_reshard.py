@@ -187,7 +187,70 @@ class TestMigrationEngine:
         assert engine.stats()["mods_replayed"] == 1
 
 
-class TestMongoAsElastic:
+class _ElasticCases:
+    """Cases every elastic cluster passes; a subclass's ``_loaded_cluster``
+    builds a loaded two-shard cluster (at least 120 keys)."""
+
+    def test_drain_guards(self):
+        cluster = self._loaded_cluster()
+        cluster.attach_reshard()
+        with pytest.raises(ShardingError):
+            cluster.drain_shard(9)
+        cluster.drain_shard(1)
+        with pytest.raises(ShardingError):
+            cluster.drain_shard(1)  # already drained
+        with pytest.raises(ShardingError):
+            cluster.drain_shard(0)  # would leave zero active shards
+
+
+class _HashElasticCases(_ElasticCases):
+    """Cases both hash clusters pass through the shared ring handoff; a
+    subclass names the row field its scans return keys in."""
+
+    key_field: str
+
+    def test_scan_stays_exact_mid_migration(self):
+        cluster = self._loaded_cluster()
+        engine = cluster.attach_reshard(throttle=1.0)
+        cluster.scale_to(3, now=0.0)
+        # Sample the scan at several points of the handoff, including
+        # post-commit/pre-cleanup moments when strays exist: the engine
+        # flips ownership, and only the cluster's tick deletes the strays.
+        t = 0.0
+        while not engine.idle and t < 30.0:
+            engine.advance(t)
+            try:
+                rows = cluster.scan(make_key(0), 120)
+            except ChunkMoving:
+                t += 0.004
+                continue
+            assert ([r[self.key_field] for r in rows]
+                    == [make_key(i) for i in range(120)])
+            cluster.tick(t)
+            t += 0.004
+
+    def test_commit_window_bounces_with_chunk_moving(self):
+        cluster = self._loaded_cluster()
+        engine = cluster.attach_reshard(throttle=1.0)
+        cluster.scale_to(3, now=0.0)
+        keys = [make_key(i) for i in range(120)]
+        frozen_key, frozen_at = None, None
+        t = 0.0
+        while engine.migrations < 8 and frozen_key is None and t < 30.0:
+            engine.advance(t)
+            for key in keys:
+                if engine.frozen_shard(key, t) is not None:
+                    frozen_key, frozen_at = key, t
+                    break
+            t += COMMIT_CRITICAL_S / 4
+        assert frozen_key is not None, "no commit window covered a live key"
+        cluster.tick(frozen_at)
+        with pytest.raises(ChunkMoving) as exc:
+            cluster.read(frozen_key)
+        assert isinstance(exc.value.shard, int)
+
+
+class TestMongoAsElastic(_ElasticCases):
     @staticmethod
     def _loaded_cluster(shard_count=2, docs=200):
         cluster = MongoAsCluster(
@@ -230,17 +293,6 @@ class TestMongoAsElastic:
         for i in range(0, 200, 7):
             assert cluster.read(make_key(i)) == {"field0": "v"}
 
-    def test_drain_guards(self):
-        cluster = self._loaded_cluster()
-        cluster.attach_reshard()
-        with pytest.raises(ShardingError):
-            cluster.drain_shard(9)
-        cluster.drain_shard(1)
-        with pytest.raises(ShardingError):
-            cluster.drain_shard(1)  # already drained
-        with pytest.raises(ShardingError):
-            cluster.drain_shard(0)  # would leave zero active shards
-
     def test_scale_down_is_drain_not_scale(self):
         cluster = self._loaded_cluster(shard_count=4)
         cluster.attach_reshard()
@@ -248,7 +300,9 @@ class TestMongoAsElastic:
             cluster.scale_to(2)
 
 
-class TestMongoCsElastic:
+class TestMongoCsElastic(_HashElasticCases):
+    key_field = "_id"
+
     @staticmethod
     def _loaded_cluster(shard_count=2, docs=120):
         cluster = MongoCsCluster(shard_count=shard_count, seed=7,
@@ -294,45 +348,17 @@ class TestMongoCsElastic:
         for i in range(120):
             assert cluster.read(make_key(i)) == {"field0": "v"}
 
-    def test_scan_stays_exact_mid_migration(self):
-        cluster = self._loaded_cluster()
-        engine = cluster.attach_reshard(throttle=1.0)
-        cluster.scale_to(3, now=0.0)
-        # Sample the scan at several points of the handoff, including
-        # post-commit/pre-cleanup moments when strays exist.
-        t = 0.0
-        while not engine.idle and t < 30.0:
-            cluster.tick(t)
-            try:
-                rows = cluster.scan(make_key(0), 10)
-            except ChunkMoving:
-                t += 0.004
-                continue
-            assert [r["_id"] for r in rows] == [make_key(i) for i in range(10)]
-            t += 0.004
 
-    def test_commit_window_bounces_with_chunk_moving(self):
-        cluster = self._loaded_cluster()
-        engine = cluster.attach_reshard(throttle=1.0)
-        cluster.scale_to(3, now=0.0)
-        keys = [make_key(i) for i in range(120)]
-        frozen_key, frozen_at = None, None
-        t = 0.0
-        while engine.migrations < 8 and frozen_key is None and t < 30.0:
-            engine.advance(t)
-            for key in keys:
-                if engine.frozen_shard(key, t) is not None:
-                    frozen_key, frozen_at = key, t
-                    break
-            t += COMMIT_CRITICAL_S / 4
-        assert frozen_key is not None, "no commit window covered a live key"
-        cluster.tick(frozen_at)
-        with pytest.raises(ChunkMoving) as exc:
-            cluster.read(frozen_key)
-        assert isinstance(exc.value.shard, int)
+class TestSqlCsElastic(_HashElasticCases):
+    key_field = "_key"
 
+    @staticmethod
+    def _loaded_cluster(shard_count=2, docs=120):
+        cluster = SqlCsCluster(shard_count=shard_count, elastic=True)
+        for i in range(docs):
+            cluster.insert(make_key(i), {"field0": "v"})
+        return cluster
 
-class TestSqlCsElastic:
     def test_scale_up_moves_rows_transactionally(self):
         cluster = SqlCsCluster(shard_count=2, elastic=True)
         for i in range(80):
@@ -517,7 +543,15 @@ class TestCli:
         assert "write-safety invariant across migration: holds" in captured
 
     def test_malformed_spec_is_a_usage_error(self, capsys):
-        assert main(["oltp", "--reshard", "scale:shards=x@0.3"]) == 2
+        # A parse-time rejection, then plans the 4-shard cluster's own
+        # topology guards reject mid-run (no such shard, a scale target
+        # that does not grow, a second drain of one shard).
+        for spec in ("scale:shards=x@0.3", "drain:shard=99@0.3",
+                     "scale:shards=2@0.3",
+                     "drain:shard=0@0.3;drain:shard=0@0.5"):
+            assert main(["oltp", "--reshard", spec]) == 2, spec
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_bad_throttle_is_a_usage_error(self, capsys):
         assert main(["oltp", "--reshard", "--reshard-throttle", "1.5"]) == 2
