@@ -2,10 +2,11 @@
 
 :class:`AdmissionResource` extends the event kernel's FIFO
 :class:`~repro.simcluster.events.Resource` with a queue bound and a
-shedding policy.  A request that cannot be admitted is *resolved
-immediately* — its grant event fires with a shed-reason string instead of
-``None`` — so the waiting process learns its fate without consuming
-capacity::
+shedding policy.  A request that cannot be admitted resolves with a
+shed-reason string instead of ``None``, so the waiting process learns its
+fate without consuming capacity.  A newcomer turned away at a full queue
+comes back already fired, like a free server's grant; a queued victim
+shed to make room resolves through the event heap::
 
     grant = resource.request(deadline=dl, priority=prio)
     outcome = yield grant
@@ -28,6 +29,7 @@ Policies (service order / overflow victim):
 from __future__ import annotations
 
 from bisect import insort
+from collections import deque
 
 from repro.common.errors import SimulationError
 from repro.simcluster.events import Event, Resource
@@ -81,8 +83,8 @@ class AdmissionResource(Resource):
                    if w.deadline is not None and now >= w.deadline]
         if not expired:
             return
-        self._waiting = [w for w in self._waiting
-                         if w.deadline is None or now < w.deadline]
+        self._waiting = deque(w for w in self._waiting
+                              if w.deadline is None or now < w.deadline)
         for waiter in expired:
             self._shed(waiter, SHED_DEADLINE)
 
@@ -101,7 +103,9 @@ class AdmissionResource(Resource):
                 and len(self._waiting) >= self.queue_limit):
             victim = self._pick_victim(grant)
             if victim is grant:
-                self._shed(grant, SHED_QUEUE_FULL)
+                # Nothing waits on the newcomer yet: resolve it at once.
+                self.shed[SHED_QUEUE_FULL] += 1
+                grant._fire_now(SHED_QUEUE_FULL)
                 if self._sample:
                     self._sample_levels()
                 return grant
@@ -111,7 +115,7 @@ class AdmissionResource(Resource):
         if self._trace:
             self._wait_since[id(grant)] = self.env.now
         if self.policy == "lifo":
-            self._waiting.insert(0, grant)
+            self._waiting.appendleft(grant)
         elif self.policy == "priority":
             insort(self._waiting, grant)
         else:

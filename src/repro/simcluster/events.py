@@ -7,13 +7,17 @@ virtual clock.  The design mirrors SimPy's process-interaction style but is
 self-contained (no external dependency) and fully deterministic: ties in the
 event heap are broken by insertion order.
 
-Every event fires through the one dispatch loop in :meth:`Environment.run`.
-Events are slotted objects and a :class:`Timeout` pushes its heap entry
-directly, because the simulators create several of each per simulated op.
+Events fire through the one dispatch loop in :meth:`Environment.run`, with
+one exception: a :class:`Resource` grant that finds a free server has
+already fired when :meth:`Resource.request` returns it, so the requesting
+process continues without a heap round trip.  Events are slotted objects
+and a :class:`Timeout` pushes its heap entry directly, because the
+simulators create several of each per simulated op.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Generator
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
@@ -56,6 +60,17 @@ class Event:
         else:
             self._callbacks.append(callback)
 
+    def _fire_now(self, value: Any = None) -> "Event":
+        """Mark a fresh event fired at once, without a heap entry.
+
+        Only for an event nothing waits on yet: a process that yields it
+        continues immediately and a later callback runs at once.
+        """
+        self.triggered = self._fired = True
+        self.value = value
+        self._callbacks = None
+        return self
+
 
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
@@ -63,7 +78,8 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float):
-        if delay < 0:
+        # ``not >=`` also rejects NaN, which would break the heap order.
+        if not delay >= 0:
             raise SimulationError(f"negative timeout {delay}")
         self.env = env
         self.triggered = True
@@ -98,21 +114,24 @@ class Process(Event):
         bootstrap._callbacks.append(self._resume_callback)
 
     def _resume(self, event: Event) -> None:
-        try:
-            target = self._generator.send(event.value)
-        except StopIteration as stop:
-            self._resume_callback = None
-            if not self.triggered:
-                self.succeed(stop.value)
-            return
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process yielded {target!r}; processes must yield Event objects"
-            )
-        if target._fired:
-            self._resume(target)
-        else:
-            target._callbacks.append(self._resume_callback)
+        # Keep sending while the yielded event has already fired (a free
+        # server's grant): a loop, so a long run of them never recurses.
+        while True:
+            try:
+                target = self._generator.send(event.value)
+            except StopIteration as stop:
+                self._resume_callback = None
+                if not self.triggered:
+                    self.succeed(stop.value)
+                return
+            if not isinstance(target, Event):
+                raise SimulationError(
+                    f"process yielded {target!r}; processes must yield Event objects"
+                )
+            if not target._fired:
+                target._callbacks.append(self._resume_callback)
+                return
+            event = target
 
 
 class Environment:
@@ -136,6 +155,8 @@ class Environment:
         self._queue: list[tuple[float, int, Event]] = []
         # Bumped by every heap push, so pushes = sequence delta.
         self._sequence = 0
+        # The one already-fired grant every free-server request returns.
+        self._granted = Event(self)._fire_now()
 
     def timeout(self, delay: float) -> Timeout:
         """Return an event that fires ``delay`` simulated seconds from now."""
@@ -150,7 +171,14 @@ class Environment:
         return Process(self, generator)
 
     def run(self, until: Optional[float] = None) -> None:
-        """Dispatch events until the queue drains or the clock passes ``until``."""
+        """Dispatch events until the queue drains or the clock passes ``until``.
+
+        An ``until`` earlier than :attr:`now` is an error: the clock never
+        runs backwards.
+        """
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"run(until={until}) is earlier than now={self.now}")
         queue = self._queue
         prof = self.prof
         if prof is not None:
@@ -226,7 +254,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.in_use = 0
-        self._waiting: list[Event] = []
+        self._waiting: deque[Event] = deque()
         # Aggregate counters for utilization reporting.
         self.total_waits = 0
         self.total_grants = 0
@@ -253,15 +281,23 @@ class Resource:
                           metric="queue")
 
     def request(self) -> Event:
-        """Return an event that fires when a unit of capacity is granted."""
-        grant = Event(self.env)
+        """Return an event that fires when a unit of capacity is granted.
+
+        A free server grants at once: the returned event (one per
+        environment, shared by every such grant) has already fired, so the
+        process that yields it continues at the same virtual time, ahead of
+        any other event already queued for that instant.  A request that
+        finds every server busy queues, and its grant fires through the
+        event heap when a release hands it the slot.
+        """
         if self.in_use < self.capacity:
             self.in_use += 1
             self.total_grants += 1
             if self._trace:
                 self._hold_since.append(self.env.now)
-            grant.succeed()
+            grant = self.env._granted
         else:
+            grant = Event(self.env)
             self.total_waits += 1
             if self._trace:
                 self._wait_since[id(grant)] = self.env.now
@@ -280,7 +316,7 @@ class Resource:
         # mid-run shrink (set_capacity), in_use drains down instead.
         if self._waiting and self.in_use <= self.capacity:
             self.total_grants += 1
-            self._waiting.pop(0).succeed()
+            self._waiting.popleft().succeed()
         else:
             self.in_use -= 1
         if self._sample:
@@ -298,7 +334,7 @@ class Resource:
             raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         while self._waiting and self.in_use < self.capacity:
-            waiter = self._waiting.pop(0)
+            waiter = self._waiting.popleft()
             self.in_use += 1
             self.total_grants += 1
             if self._trace:

@@ -275,6 +275,62 @@ class TestAdmissionResource:
         env.run(until=5.0)
         assert shed == ["scan"]
 
+    def test_newcomer_shed_at_full_queue_comes_back_fired(self):
+        env = Environment()
+        resource = AdmissionResource(env, 1, queue_limit=1, policy="reject")
+        resource.request()            # takes the slot
+        queued = resource.request()   # fills the queue
+        sequence = env._sequence
+        newcomer = resource.request()
+        assert newcomer._fired and newcomer.value == SHED_QUEUE_FULL
+        assert env._sequence == sequence
+        assert resource.shed[SHED_QUEUE_FULL] == 1
+        assert resource.queue_length == 1 and not queued.triggered
+
+    def test_shed_queued_victim_resolves_through_the_heap(self):
+        env = Environment()
+        resource = AdmissionResource(env, 1, queue_limit=1, policy="lifo")
+        resource.request()
+        victim = resource.request()
+        sequence = env._sequence
+        newcomer = resource.request()
+        assert not newcomer.triggered  # queued in the victim's place
+        assert victim.triggered and not victim._fired
+        assert env._sequence == sequence + 1
+        env.run()
+        assert victim._fired and victim.value == SHED_QUEUE_FULL
+        assert resource.shed[SHED_QUEUE_FULL] == 1
+
+    @pytest.mark.parametrize("policy, served", [
+        ("reject", ["a", "b", "c", "d"]),
+        ("lifo", ["a", "d", "c", "b"]),
+        ("priority", ["a", "c", "d", "b"]),
+        ("deadline-drop", ["a", "b", "d"]),   # c expires while queued
+    ])
+    def test_service_order_per_policy(self, policy, served):
+        env = Environment()
+        resource = AdmissionResource(env, 1, queue_limit=8, policy=policy)
+        order = []
+
+        def requester(tag, priority, deadline):
+            outcome = yield resource.request(deadline=deadline,
+                                             priority=priority)
+            if outcome is None:
+                order.append(tag)
+                yield env.timeout(1.0)
+                resource.release()
+
+        def staged():
+            for tag, priority, deadline in (("a", 1, None), ("b", 2, None),
+                                            ("c", 0, 0.5), ("d", 1, None)):
+                env.process(requester(tag, priority, deadline))
+                yield env.timeout(0.1)
+
+        env.process(staged())
+        env.run()
+        assert order == served
+        assert resource.queue_length == 0
+
     def test_queue_limit_validation(self):
         env = Environment()
         with pytest.raises(SimulationError):

@@ -3,7 +3,8 @@
 These pin down the corner semantics the tracing layer (and everything else)
 relies on: zero-delay timeouts still go through the queue, heap ties resolve
 in insertion order, double-``succeed`` is an error, callbacks added
-after an event fired run immediately, and a finished process leaves no
+after an event fired run immediately, a free server's grant has already
+fired when ``request`` returns it, and a finished process leaves no
 reference cycle behind.
 """
 
@@ -137,10 +138,19 @@ class TestDoubleSucceed:
 class TestKernelChecks:
     def test_negative_timeout_raises(self):
         env = Environment()
-        with pytest.raises(SimulationError, match="negative timeout"):
-            env.timeout(-1)
+        # NaN would break the heap order, so it is rejected with negatives.
+        for delay in (-1, float("nan")):
+            with pytest.raises(SimulationError, match="negative timeout"):
+                env.timeout(delay)
         env.run()
         assert env.now == 0.0
+
+    def test_infinite_timeout_is_legal(self):
+        env = Environment()
+        never = env.timeout(float("inf"))
+        env.run(until=100.0)
+        assert not never._fired
+        assert env.now == 100.0
 
     def test_yielding_a_non_event_raises(self):
         env = Environment()
@@ -252,6 +262,20 @@ class TestRunUntilBoundary:
         env.run(until=9.0)
         assert env.now == 9.0
 
+    def test_until_before_now_raises(self):
+        """The clock never runs backwards; ``until == now`` is a no-op."""
+        env = Environment()
+        late = env.timeout(20.0)
+        env.run(until=10.0)
+        with pytest.raises(SimulationError, match="earlier than now"):
+            env.run(until=4.0)
+        assert env.now == 10.0
+        env.run(until=10.0)
+        assert env.now == 10.0
+        assert not late._fired
+        env.run()
+        assert late._fired and env.now == 20.0
+
 
 class TestResourceEdges:
     def test_release_without_request_raises(self):
@@ -319,3 +343,94 @@ class TestResourceEdges:
         holds = tracer.find(cat="resource", node="pool")
         assert len(holds) == 5
         assert sum(s.duration for s in holds) == pytest.approx(15.0)
+
+
+class TestImmediateGrants:
+    """A free server grants without a heap round trip; a queued grant
+    still fires through the heap."""
+
+    def test_free_grant_has_fired_and_schedules_nothing(self):
+        env = Environment()
+        resource = Resource(env, capacity=2)
+        sequence = env._sequence
+        first, second = resource.request(), resource.request()
+        assert first._fired and first.triggered and first.value is None
+        assert first is second and first.env is env
+        assert env._sequence == sequence
+        assert resource.in_use == 2 and resource.total_grants == 2
+        with pytest.raises(SimulationError, match="already triggered"):
+            first.succeed()
+
+    def test_granted_process_continues_ahead_of_same_instant_events(self):
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        order = []
+
+        def other():
+            yield env.timeout(1.0)
+            order.append(("other", env.now))
+
+        def taker():
+            yield env.timeout(1.0)
+            sequence = env._sequence
+            yield resource.request()
+            assert env._sequence == sequence
+            order.append(("taker", env.now))
+            resource.release()
+
+        env.process(taker())
+        env.process(other())
+        env.run()
+        assert order == [("taker", 1.0), ("other", 1.0)]
+
+    def test_queued_grants_fire_through_the_heap_in_fifo_order(self):
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        resource.request()
+        waiters = [resource.request() for _ in range(3)]
+        assert not any(w.triggered for w in waiters)
+        sequence = env._sequence
+        resource.release()
+        assert waiters[0].triggered and not waiters[0]._fired
+        assert env._sequence == sequence + 1
+        order = []
+        for tag, waiter in zip("abc", waiters):
+            waiter.add_callback(lambda e, tag=tag: order.append(tag))
+        env.run()
+        assert order == ["a"]
+        resource.release()
+        resource.release()
+        env.run()
+        assert order == ["a", "b", "c"]
+        assert resource.queue_length == 0
+
+    def test_callbacks_and_all_of_on_a_free_grant_fire_at_once(self):
+        env = Environment()
+        resource = Resource(env, capacity=2)
+        grant = resource.request()
+        seen = []
+        grant.add_callback(lambda e: seen.append(e.value))
+        assert seen == [None]
+        gate = env.all_of([grant, resource.request()])
+        assert gate.triggered
+        env.run()
+        assert gate.value == [None, None]
+        assert env.now == 0.0
+
+    def test_long_run_of_free_grants_does_not_recurse(self):
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        rounds = 10_000
+
+        def churn():
+            for _ in range(rounds):
+                yield resource.request()
+                resource.release()
+            return "done"
+
+        proc = env.process(churn())
+        env.run()
+        assert proc.value == "done"
+        assert resource.total_grants == rounds and resource.in_use == 0
+        # One push bootstraps the process, one fires its return.
+        assert env._sequence == 2
