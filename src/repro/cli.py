@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.common.envelope import write_report
 from repro.common.errors import ConfigurationError
 
 #: Default burn-rate rules for --live-report: chaos runs live on a
@@ -86,7 +87,6 @@ def _profile_outputs(args, prof, scenario: dict) -> None:
         render_prof_report,
         validate_prof_report,
         write_folded,
-        write_prof_report,
         write_speedscope,
     )
 
@@ -95,7 +95,7 @@ def _profile_outputs(args, prof, scenario: dict) -> None:
     validate_prof_report(report)
     print(render_prof_report(report))
     if args.profile_report:
-        write_prof_report(report, args.profile_report)
+        write_report(report, args.profile_report)
         print(f"wrote profile -> {args.profile_report}")
     if args.profile_speedscope:
         write_speedscope(prof, args.profile_speedscope)
@@ -111,21 +111,20 @@ def _cmd_compare(args) -> int:
         compare_files,
         render_compare_report,
         validate_compare_report,
-        write_compare_report,
     )
 
     report = compare_files(args.compare[0], args.compare[1])
     validate_compare_report(report)
     print(render_compare_report(report))
     if args.compare_report:
-        write_compare_report(report, args.compare_report)
+        write_report(report, args.compare_report)
         print(f"wrote compare report -> {args.compare_report}")
     return 0
 
 
 def _fault_outputs(args, report, tracer, metrics, sampler) -> None:
     """Shared --fault-report/--trace/--metrics/--utilization handling."""
-    from repro.faults.report import render_fault_report, write_fault_report
+    from repro.faults.report import render_fault_report
     from repro.obs import (
         sparkline_heatmap,
         write_chrome_trace,
@@ -135,7 +134,7 @@ def _fault_outputs(args, report, tracer, metrics, sampler) -> None:
 
     print(render_fault_report(report))
     if args.fault_report:
-        write_fault_report(report, args.fault_report)
+        write_report(report.to_dict(), args.fault_report)
         print(f"wrote fault report -> {args.fault_report}")
     if args.trace:
         count = write_chrome_trace(args.trace, tracer, metrics, sampler=sampler)
@@ -205,7 +204,6 @@ def _oltp_availability(args) -> int:
         availability_report,
         render_availability_report,
         validate_availability_report,
-        write_availability_report,
     )
     from repro.faults.chaos import ChaosConfig
     from repro.replication.config import ReplicationConfig
@@ -231,7 +229,7 @@ def _oltp_availability(args) -> int:
     validate_availability_report(report)
     print(render_availability_report(report))
     if args.availability_report:
-        write_availability_report(report, args.availability_report)
+        write_report(report, args.availability_report)
         print(f"wrote availability report -> {args.availability_report}")
     # Exit 0 only while the acknowledged-write safety invariant holds.
     return 0 if report["invariant_ok"] else 1
@@ -244,7 +242,6 @@ def _oltp_reshard(args) -> int:
         render_reshard_report,
         reshard_report,
         validate_reshard_report,
-        write_reshard_report,
     )
     from repro.replication.config import ReplicationConfig
     from repro.replication.writeconcern import WriteConcern
@@ -270,7 +267,7 @@ def _oltp_reshard(args) -> int:
     validate_reshard_report(report)
     print(render_reshard_report(report))
     if args.reshard_report:
-        write_reshard_report(report, args.reshard_report)
+        write_report(report, args.reshard_report)
         print(f"wrote reshard report -> {args.reshard_report}")
     # Exit 0 only while no acked write was lost across a migration.
     return 0 if report["invariant_ok"] else 1
@@ -284,7 +281,6 @@ def _oltp_live(args) -> int:
         parse_slo_rules,
         render_live_report,
         validate_live_report,
-        write_live_report,
     )
 
     # Specs are parsed before the run so a typo is a one-line exit 2.
@@ -314,7 +310,7 @@ def _oltp_live(args) -> int:
         rendered = render_live_report(report)
     print(rendered)
     if args.live_report != "-":
-        write_live_report(report, args.live_report)
+        write_report(report, args.live_report)
         print(f"wrote live report -> {args.live_report}")
     if prof is not None:
         _profile_outputs(args, prof, {
@@ -348,7 +344,6 @@ def _oltp_overload(args) -> int:
         overload_report,
         render_overload_report,
         validate_overload_report,
-        write_overload_report,
     )
 
     policy = _overload_policy(args)
@@ -360,8 +355,6 @@ def _oltp_overload(args) -> int:
         plan = FaultPlan.parse(args.faults, seed=args.seed)
 
     if plan is not None and (plan.shard_faults or plan.member_faults):
-        import json
-
         cell = functional_overload_cell(
             plan, policy, system=args.system, workload=workload,
             replication=_oltp_replication(args),
@@ -379,9 +372,7 @@ def _oltp_overload(args) -> int:
             f"shed {cell['protected']['shed']}"
         )
         if args.overload_report:
-            with open(args.overload_report, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(cell, sort_keys=True,
-                                        separators=(",", ":")) + "\n")
+            write_report(cell, args.overload_report)
             print(f"wrote overload cell -> {args.overload_report}")
         return 0
 
@@ -398,14 +389,13 @@ def _oltp_overload(args) -> int:
     validate_overload_report(report)
     print(render_overload_report(report))
     if args.overload_report:
-        write_overload_report(report, args.overload_report)
+        write_report(report, args.overload_report)
         print(f"wrote overload report -> {args.overload_report}")
     if live is not None:
         from repro.obs import (
             build_live_report,
             render_live_report,
             validate_live_report,
-            write_live_report,
         )
 
         live_doc = build_live_report(live, {
@@ -417,7 +407,7 @@ def _oltp_overload(args) -> int:
         validate_live_report(live_doc)
         print(render_live_report(live_doc))
         if args.live_report != "-":
-            write_live_report(live_doc, args.live_report)
+            write_report(live_doc, args.live_report)
             print(f"wrote live report -> {args.live_report}")
     # Exit 0 only when the metastable contrast demonstrably holds.
     return 0 if report["contrast"]["metastable_demonstrated"] else 1
@@ -462,12 +452,12 @@ def _cmd_dss(args) -> int:
                  or args.critical_path is not None or args.whatif
                  or profiling)
     if decompose_numbers:
-        from repro.obs import render_decomposition, write_decomposition
+        from repro.obs import render_decomposition
 
         report = study.decomposition(decompose_numbers)
         print(render_decomposition(report))
         if args.decompose_report:
-            write_decomposition(report, args.decompose_report)
+            write_report(report.to_dict(), args.decompose_report)
             print(f"wrote decomposition -> {args.decompose_report}")
         if not observing:
             return 0
@@ -531,19 +521,17 @@ def _cmd_dss(args) -> int:
             from repro.obs import (
                 critical_path,
                 render_critical_path,
-                write_critical_path,
             )
 
             path = critical_path(tracer)
             print(render_critical_path(path))
             if args.critical_path != "-":
-                write_critical_path(path, args.critical_path)
+                write_report(path.to_dict(), args.critical_path)
                 print(f"wrote critical path -> {args.critical_path}")
         if whatif_scales:
             from repro.obs import (
                 dss_whatif_report,
                 render_whatif_report,
-                write_whatif_report,
             )
 
             report = dss_whatif_report(
@@ -553,7 +541,7 @@ def _cmd_dss(args) -> int:
             )
             print(render_whatif_report(report))
             if args.whatif_report:
-                write_whatif_report(report, args.whatif_report)
+                write_report(report.to_dict(), args.whatif_report)
                 print(f"wrote what-if report -> {args.whatif_report}")
         if prof is not None:
             _profile_outputs(args, prof, {
@@ -580,7 +568,6 @@ def _oltp_frontier(args) -> int:
     from repro.ycsb.frontier import (
         render_frontier_report,
         validate_frontier_report,
-        write_frontier_report,
     )
 
     _require_positive(args.slo_ms, "--slo-ms")
@@ -614,7 +601,7 @@ def _oltp_frontier(args) -> int:
     validate_frontier_report(report)
     print(render_frontier_report(report))
     if args.frontier_report:
-        write_frontier_report(report, args.frontier_report)
+        write_report(report, args.frontier_report)
         print(f"wrote frontier report -> {args.frontier_report}")
     if args.metrics:
         from repro.obs import write_metrics
@@ -772,7 +759,6 @@ def _cmd_oltp(args) -> int:
             from repro.obs import (
                 critical_path,
                 render_critical_path,
-                write_critical_path,
             )
 
             # An OLTP trace has no single root: take the slowest measured
@@ -790,13 +776,12 @@ def _cmd_oltp(args) -> int:
             path = critical_path(tracer, root=root)
             print(render_critical_path(path))
             if args.critical_path != "-":
-                write_critical_path(path, args.critical_path)
+                write_report(path.to_dict(), args.critical_path)
                 print(f"wrote critical path -> {args.critical_path}")
         if whatif_scales:
             from repro.obs import (
                 oltp_whatif_report,
                 render_whatif_report,
-                write_whatif_report,
             )
 
             report = oltp_whatif_report(
@@ -806,7 +791,7 @@ def _cmd_oltp(args) -> int:
             )
             print(render_whatif_report(report))
             if args.whatif_report:
-                write_whatif_report(report, args.whatif_report)
+                write_report(report.to_dict(), args.whatif_report)
                 print(f"wrote what-if report -> {args.whatif_report}")
         if prof is not None:
             _profile_outputs(args, prof, {

@@ -29,10 +29,8 @@ from repro.faults.availability import (
     AVAILABILITY_SYSTEMS,
     availability_report,
     availability_row,
-    dumps_availability_report,
     render_availability_report,
     validate_availability_report,
-    write_availability_report,
 )
 from repro.faults.chaos import (
     AuditReport,
@@ -53,20 +51,16 @@ from repro.faults.plan import (
 from repro.faults.reshard import (
     RESHARD_SYSTEMS,
     ReshardYcsbRun,
-    dumps_reshard_report,
     render_reshard_report,
     reshard_report,
     reshard_row,
     validate_reshard_report,
-    write_reshard_report,
 )
 from repro.faults.report import (
     FaultReport,
     dss_fault_report,
-    dumps_fault_report,
     oltp_fault_report,
     render_fault_report,
-    write_fault_report,
 )
 from repro.faults.retry import RetryPolicy, backoff_delay
 from repro.faults.runner import FaultedRunStats, FaultedYcsbRun
@@ -81,10 +75,8 @@ __all__ = [
     "availability_report",
     "availability_row",
     "chaos_plan",
-    "dumps_availability_report",
     "render_availability_report",
     "validate_availability_report",
-    "write_availability_report",
     "FAULT_KINDS",
     "MEMBER_KINDS",
     "TOPOLOGY_KINDS",
@@ -95,10 +87,8 @@ __all__ = [
     "ReshardYcsbRun",
     "reshard_report",
     "reshard_row",
-    "dumps_reshard_report",
     "render_reshard_report",
     "validate_reshard_report",
-    "write_reshard_report",
     "RetryPolicy",
     "backoff_delay",
     "FaultedYcsbRun",
@@ -106,7 +96,5 @@ __all__ = [
     "FaultReport",
     "dss_fault_report",
     "oltp_fault_report",
-    "dumps_fault_report",
-    "write_fault_report",
     "render_fault_report",
 ]

@@ -14,11 +14,10 @@ validates against a lightweight schema check so CI can gate on it.
 
 from __future__ import annotations
 
-import json
-
+from repro.common.envelope import check_envelope, check_fields
+from repro.common.envelope import stable_round as _round
 from repro.common.errors import ConfigurationError, FaultPlanError
 from repro.faults.chaos import ChaosConfig, ChaosYcsbRun, chaos_plan
-from repro.faults.report import _round
 from repro.faults.retry import RetryPolicy
 from repro.replication.config import ReplicationConfig
 from repro.replication.writeconcern import SPECTRUM, WriteConcern
@@ -255,62 +254,29 @@ def availability_report(
     }
 
 
+_SCENARIO_REQUIRED = dict.fromkeys(
+    ("chaos", "workload", "operations", "seed"), object)
+
+
 def validate_availability_report(data: dict) -> None:
     """Schema check; raises :class:`ConfigurationError` on any mismatch."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("availability report must be an object")
-    if data.get("schema") != SCHEMA:
-        raise ConfigurationError(
-            f"availability report schema is {data.get('schema')!r}, "
-            f"expected {SCHEMA!r}"
-        )
-    scenario = data.get("scenario")
-    if not isinstance(scenario, dict):
-        raise ConfigurationError("availability report needs a scenario object")
-    for field in ("chaos", "workload", "operations", "seed"):
-        if field not in scenario:
-            raise ConfigurationError(f"scenario is missing {field!r}")
-    rows = data.get("rows")
-    if not isinstance(rows, list) or not rows:
+    check_envelope(data, SCHEMA, "availability report")
+    check_fields(data, {"scenario": dict, "rows": list, "invariant_ok": bool},
+                 "availability report")
+    check_fields(data["scenario"], _SCENARIO_REQUIRED, "scenario")
+    rows = data["rows"]
+    if not rows:
         raise ConfigurationError("availability report needs a non-empty rows list")
     for index, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ConfigurationError(f"row {index} is not an object")
-        for field, kind in _ROW_REQUIRED.items():
-            if field not in row:
-                raise ConfigurationError(f"row {index} is missing {field!r}")
-            value = row[field]
-            if kind is float:
-                ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            elif kind is int:
-                ok = isinstance(value, int) and not isinstance(value, bool)
-            else:
-                ok = isinstance(value, kind)
-            if not ok:
-                raise ConfigurationError(
-                    f"row {index} field {field!r} has type "
-                    f"{type(value).__name__}, expected {kind.__name__}"
-                )
+        check_fields(row, _ROW_REQUIRED, f"row {index}")
         if row["violations"] and row["invariant_ok"]:
             raise ConfigurationError(
                 f"row {index} reports violations but claims invariant_ok"
             )
-    if "invariant_ok" not in data or not isinstance(data["invariant_ok"], bool):
-        raise ConfigurationError("availability report needs invariant_ok")
     if data["invariant_ok"] != all(r["invariant_ok"] for r in rows):
         raise ConfigurationError(
             "top-level invariant_ok disagrees with the rows"
         )
-
-
-def dumps_availability_report(data: dict) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_availability_report(data: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_availability_report(data))
 
 
 def render_availability_report(data: dict) -> str:

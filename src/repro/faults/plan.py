@@ -63,8 +63,9 @@ FAULT_KINDS = frozenset({
     "drain",          # evacuate and retire target="shard=K"
     # Overload trigger (PR 10): ``arrival-spike:clients@20+10x2.5`` multiplies
     # the open-loop arrival rate by 2.5 over [20s, 30s).  Consumed by the
-    # overload-aware open-loop simulator; the target is conventionally
-    # ``clients`` (it names the arrival process, not a station).
+    # overload-aware open-loop simulator (the closed loop and the plain open
+    # loop reject it); the target is conventionally ``clients`` (it names
+    # the arrival process, not a station).
     "arrival-spike",
 })
 

@@ -20,9 +20,9 @@ output, which the determinism test suite locks in.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
+from repro.common.envelope import stable_round as _round
 from repro.common.errors import FaultPlanError
 from repro.faults.plan import MEMBER_KINDS, FaultPlan
 from repro.faults.retry import RetryPolicy
@@ -30,11 +30,6 @@ from repro.faults.runner import FaultedYcsbRun
 from repro.ycsb.workloads import WORKLOADS, make_key
 
 SCHEMA = "repro-faults/1"
-
-
-def _round(value: float, digits: int = 6) -> float:
-    """Stable rounding so report JSON is robust to float formatting noise."""
-    return round(float(value), digits)
 
 
 @dataclass
@@ -56,17 +51,6 @@ class FaultReport:
             "faulted": self.faulted,
             "comparison": self.comparison,
         }
-
-
-def dumps_fault_report(report: FaultReport) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(report.to_dict(), sort_keys=True,
-                      separators=(",", ":")) + "\n"
-
-
-def write_fault_report(report: FaultReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_fault_report(report))
 
 
 def render_fault_report(report: FaultReport) -> str:

@@ -27,13 +27,12 @@ are directly comparable.  Deterministic JSON like the sibling reports.
 
 from __future__ import annotations
 
-import json
-
+from repro.common.envelope import check_envelope, check_fields
+from repro.common.envelope import stable_round as _round
 from repro.common.errors import ConfigurationError, FaultPlanError
 from repro.faults.availability import CHAOS_RETRY_POLICY
 from repro.faults.chaos import ChaosConfig, ChaosYcsbRun, chaos_plan
 from repro.faults.plan import TOPOLOGY_KINDS, FaultPlan
-from repro.faults.report import _round
 from repro.faults.retry import RetryPolicy
 from repro.obs.live import LiveTelemetry
 from repro.replication.config import ReplicationConfig
@@ -330,42 +329,21 @@ def reshard_report(
     }
 
 
+_SCENARIO_REQUIRED = dict.fromkeys(
+    ("reshard", "throttle", "workload", "operations", "seed"), object)
+
+
 def validate_reshard_report(data: dict) -> None:
     """Schema check; raises :class:`ConfigurationError` on any mismatch."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("reshard report must be an object")
-    if data.get("schema") != SCHEMA:
-        raise ConfigurationError(
-            f"reshard report schema is {data.get('schema')!r}, "
-            f"expected {SCHEMA!r}"
-        )
-    scenario = data.get("scenario")
-    if not isinstance(scenario, dict):
-        raise ConfigurationError("reshard report needs a scenario object")
-    for field in ("reshard", "throttle", "workload", "operations", "seed"):
-        if field not in scenario:
-            raise ConfigurationError(f"scenario is missing {field!r}")
-    rows = data.get("rows")
-    if not isinstance(rows, list) or not rows:
+    check_envelope(data, SCHEMA, "reshard report")
+    check_fields(data, {"scenario": dict, "rows": list, "invariant_ok": bool},
+                 "reshard report")
+    check_fields(data["scenario"], _SCENARIO_REQUIRED, "scenario")
+    rows = data["rows"]
+    if not rows:
         raise ConfigurationError("reshard report needs a non-empty rows list")
     for index, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ConfigurationError(f"row {index} is not an object")
-        for field, kind in _ROW_REQUIRED.items():
-            if field not in row:
-                raise ConfigurationError(f"row {index} is missing {field!r}")
-            value = row[field]
-            if kind is float:
-                ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            elif kind is int:
-                ok = isinstance(value, int) and not isinstance(value, bool)
-            else:
-                ok = isinstance(value, kind)
-            if not ok:
-                raise ConfigurationError(
-                    f"row {index} field {field!r} has type "
-                    f"{type(value).__name__}, expected {kind.__name__}"
-                )
+        check_fields(row, _ROW_REQUIRED, f"row {index}")
         if row["sharding"] not in ("range", "hash"):
             raise ConfigurationError(
                 f"row {index} sharding must be range or hash"
@@ -379,22 +357,10 @@ def validate_reshard_report(data: dict) -> None:
             raise ConfigurationError(
                 f"row {index} reports violations but claims invariant_ok"
             )
-    if "invariant_ok" not in data or not isinstance(data["invariant_ok"], bool):
-        raise ConfigurationError("reshard report needs invariant_ok")
     if data["invariant_ok"] != all(r["invariant_ok"] for r in rows):
         raise ConfigurationError(
             "top-level invariant_ok disagrees with the rows"
         )
-
-
-def dumps_reshard_report(data: dict) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_reshard_report(data: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_reshard_report(data))
 
 
 def render_reshard_report(data: dict) -> str:

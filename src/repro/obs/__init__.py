@@ -23,19 +23,15 @@ from repro.obs.critpath import (
     CriticalPath,
     PathSegment,
     critical_path,
-    dumps_critical_path,
     pick_root,
     render_critical_path,
-    write_critical_path,
 )
 from repro.obs.decompose import (
     DecompositionReport,
     QueryDecomposition,
     decompose_query,
-    dumps_decomposition,
     fit_fixed_variable,
     render_decomposition,
-    write_decomposition,
 )
 from repro.obs.digest import QuantileDigest, WindowedDigest
 from repro.obs.export import (
@@ -56,25 +52,20 @@ from repro.obs.invariants import (
 from repro.obs.live import (
     LiveTelemetry,
     build_live_report,
-    dumps_live_report,
     render_live_report,
     validate_live_report,
-    write_live_report,
 )
 from repro.obs.compare import (
     compare_files,
     compare_runs,
-    dumps_compare_report,
     host_delta,
     render_compare_report,
     validate_compare_report,
-    write_compare_report,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.prof import (
     ProfiledRun,
     build_prof_report,
-    dumps_prof_report,
     folded_stacks,
     host_meta,
     profile_summary,
@@ -84,7 +75,6 @@ from repro.obs.prof import (
     speedscope_document,
     validate_prof_report,
     write_folded,
-    write_prof_report,
     write_speedscope,
 )
 from repro.obs.sampling import SamplingTracer, SpanSamplePolicy
@@ -106,14 +96,12 @@ from repro.obs.whatif import (
     MECHANISMS,
     WhatIfReport,
     dss_whatif_report,
-    dumps_whatif_report,
     oltp_whatif_report,
     parse_whatif,
     render_whatif_report,
     replay_hive,
     replay_oltp,
     replay_pdw,
-    write_whatif_report,
 )
 
 __all__ = [
@@ -156,8 +144,6 @@ __all__ = [
     "critical_path",
     "pick_root",
     "render_critical_path",
-    "dumps_critical_path",
-    "write_critical_path",
     "MECHANISMS",
     "WhatIfReport",
     "parse_whatif",
@@ -167,15 +153,11 @@ __all__ = [
     "dss_whatif_report",
     "oltp_whatif_report",
     "render_whatif_report",
-    "dumps_whatif_report",
-    "write_whatif_report",
     "QueryDecomposition",
     "DecompositionReport",
     "fit_fixed_variable",
     "decompose_query",
     "render_decomposition",
-    "dumps_decomposition",
-    "write_decomposition",
     "QuantileDigest",
     "WindowedDigest",
     "SamplingTracer",
@@ -187,8 +169,6 @@ __all__ = [
     "LiveTelemetry",
     "build_live_report",
     "validate_live_report",
-    "dumps_live_report",
-    "write_live_report",
     "render_live_report",
     "ProfiledRun",
     "host_meta",
@@ -197,8 +177,6 @@ __all__ = [
     "profiled_tracer",
     "build_prof_report",
     "validate_prof_report",
-    "dumps_prof_report",
-    "write_prof_report",
     "render_prof_report",
     "folded_stacks",
     "write_folded",
@@ -208,7 +186,5 @@ __all__ = [
     "compare_files",
     "host_delta",
     "validate_compare_report",
-    "dumps_compare_report",
-    "write_compare_report",
     "render_compare_report",
 ]

@@ -26,7 +26,10 @@ from __future__ import annotations
 
 import json
 
+from repro.common.envelope import check_envelope, check_fields
 from repro.common.errors import ConfigurationError
+from repro.obs.live import validate_live_report
+from repro.obs.prof import validate_prof_report
 
 SCHEMA = "repro-compare/1"
 
@@ -35,6 +38,13 @@ _SCHEMA_KINDS = {
     "repro-bench/1": "bench",
     "repro-prof/1": "prof",
     "repro-live/1": "live",
+}
+
+#: Optional fields of a ``repro-bench/1`` entry the bench diff reads.
+_BENCH_ENTRY_OPTIONAL = {
+    "seconds": (float, type(None)),
+    "stddev": (float, type(None)),
+    "profile": dict,
 }
 
 #: Contributors below this share of the total delta are folded into the
@@ -50,7 +60,7 @@ def detect_kind(doc: dict) -> str:
     if not isinstance(doc, dict):
         raise ConfigurationError("comparand must be a JSON object")
     schema = doc.get("schema")
-    kind = _SCHEMA_KINDS.get(schema)
+    kind = _SCHEMA_KINDS.get(schema) if isinstance(schema, str) else None
     if kind is None:
         known = ", ".join(sorted(_SCHEMA_KINDS))
         raise ConfigurationError(
@@ -59,16 +69,44 @@ def detect_kind(doc: dict) -> str:
 
 
 def load_run(path: str) -> dict:
-    """Load one comparand; any I/O or parse problem is a usage error."""
+    """Load and check one comparand; any problem with it is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigurationError(f"{path} is not JSON: {exc}") from exc
-    detect_kind(doc)  # raises on unknown schema
+    kind = detect_kind(doc)
+    try:
+        if kind == "live":
+            validate_live_report(doc)
+        elif kind == "prof":
+            validate_prof_report(doc)
+        else:
+            _check_bench(doc)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
     return doc
+
+
+def _check_bench(doc: dict) -> None:
+    """``repro-bench/1`` has no validator: check what the bench diff reads."""
+    check_fields(doc, {"benchmarks": dict}, "bench file")
+    for name, entry in doc["benchmarks"].items():
+        where = f"benchmark {name!r}"
+        check_fields(entry, {}, where)  # an object, before the lookups
+        check_fields(entry, {field: kind
+                             for field, kind in _BENCH_ENTRY_OPTIONAL.items()
+                             if field in entry}, where)
+        profile = entry.get("profile", {})
+        if "subsystems" not in profile:
+            continue
+        check_fields(profile, {"subsystems": dict}, f"{where} profile")
+        for sub, info in profile["subsystems"].items():
+            if isinstance(info, dict) and "self_s" in info:
+                check_fields(info, {"self_s": float},
+                             f"{where} subsystem {sub!r}")
 
 
 def host_delta(a: dict | None, b: dict | None) -> list[str]:
@@ -284,54 +322,33 @@ def compare_files(a_path: str, b_path: str, names=None) -> dict:
                         names=names)
 
 
+_REPORT_REQUIRED = {
+    "kind": str, "a": dict, "b": dict, "rows": list, "attribution": list,
+    "notes": list,
+}
+
+_ROW_REQUIRED = {
+    "metric": object, "a": float, "b": float, "delta": float,
+    "significant": object,
+}
+
+
 def validate_compare_report(data: dict) -> None:
     """Schema check; raises :class:`ConfigurationError` on any mismatch."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("compare report must be an object")
-    if data.get("schema") != SCHEMA:
+    check_envelope(data, SCHEMA, "compare report")
+    check_fields(data, _REPORT_REQUIRED, "compare report")
+    if data["kind"] not in _SCHEMA_KINDS.values():
         raise ConfigurationError(
-            f"compare report schema is {data.get('schema')!r}, "
-            f"expected {SCHEMA!r}")
-    if data.get("kind") not in set(_SCHEMA_KINDS.values()):
-        raise ConfigurationError(
-            f"compare report kind is {data.get('kind')!r}")
+            f"compare report kind is {data['kind']!r}")
     for side in ("a", "b"):
-        info = data.get(side)
-        if not isinstance(info, dict) or "label" not in info:
-            raise ConfigurationError(
-                f"compare report side {side!r} needs a label")
-    rows = data.get("rows")
-    if not isinstance(rows, list):
-        raise ConfigurationError("compare report needs a rows list")
-    for index, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ConfigurationError(f"row {index} is not an object")
-        for field in ("metric", "a", "b", "delta", "significant"):
-            if field not in row:
-                raise ConfigurationError(
-                    f"row {index} is missing {field!r}")
-        for field in ("a", "b", "delta"):
-            value = row[field]
-            if not isinstance(value, (int, float)) \
-                    or isinstance(value, bool):
-                raise ConfigurationError(
-                    f"row {index} field {field!r} is not numeric")
+        check_fields(data[side], {"label": object},
+                     f"compare report side {side!r}")
+    for index, row in enumerate(data["rows"]):
+        check_fields(row, _ROW_REQUIRED, f"row {index}")
     for field in ("attribution", "notes"):
-        value = data.get(field)
-        if not isinstance(value, list) \
-                or any(not isinstance(item, str) for item in value):
+        if any(not isinstance(item, str) for item in data[field]):
             raise ConfigurationError(
                 f"compare report needs a list of strings for {field!r}")
-
-
-def dumps_compare_report(data: dict) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_compare_report(data: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_compare_report(data))
 
 
 def _fmt_value(value: float) -> str:

@@ -24,19 +24,15 @@ sorted keys, fixed separators, byte-identical per seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
+from repro.common.envelope import stable_round as _round
 from repro.common.errors import SimulationError
 from repro.obs.trace import Span
 
 SCHEMA = "repro-critpath/1"
 
 _TOL = 1e-9
-
-
-def _round(value: float, digits: int = 6) -> float:
-    return round(float(value), digits)
 
 
 @dataclass
@@ -274,18 +270,7 @@ def critical_path(tracer, root: Span | None = None, tol: float = _TOL) -> Critic
     )
 
 
-# -- serialization / rendering --------------------------------------------------
-
-
-def dumps_critical_path(path: CriticalPath) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(path.to_dict(), sort_keys=True,
-                      separators=(",", ":")) + "\n"
-
-
-def write_critical_path(path: CriticalPath, filename: str) -> None:
-    with open(filename, "w", encoding="utf-8") as handle:
-        handle.write(dumps_critical_path(path))
+# -- rendering ------------------------------------------------------------------
 
 
 def render_critical_path(path: CriticalPath, width: int = 72) -> str:

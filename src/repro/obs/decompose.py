@@ -21,18 +21,14 @@ Schema ``repro-decompose/1``; deterministic JSON as everywhere else.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
+from repro.common.envelope import stable_round as _round
 from repro.common.errors import ConfigurationError
 
 SCHEMA = "repro-decompose/1"
 
 DEFAULT_SFS = (250.0, 1000.0, 4000.0, 16000.0)
-
-
-def _round(value: float, digits: int = 6) -> float:
-    return round(float(value), digits)
 
 
 def fit_fixed_variable(points: list) -> tuple:
@@ -199,17 +195,6 @@ class DecompositionReport:
             if q.engine == engine and q.number == number:
                 return q
         raise KeyError(f"no decomposition for {engine} q{number}")
-
-
-def dumps_decomposition(report: DecompositionReport) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(report.to_dict(), sort_keys=True,
-                      separators=(",", ":")) + "\n"
-
-
-def write_decomposition(report: DecompositionReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_decomposition(report))
 
 
 def render_decomposition(report: DecompositionReport) -> str:

@@ -9,12 +9,12 @@ intervals.  When SLO rules are attached, a
 virtual-time slice boundary as the run advances — alerts fire during the
 run, on the virtual clock, not in a post-hoc pass.
 
-The report is the house shape (``build``/``validate``/``dumps``/``write``/
-``render``): deterministic JSON plus an ASCII dashboard — one row per
-slice with windowed p50/p99/throughput/errors, ``!`` markers where alerts
-were open, the event timeline, and a telemetry self-overhead section
-(slice/bucket counts and span sampler retention) proving the pipeline's
-memory stays bounded.
+The report is the house shape (``build``/``validate``/``render``, written
+through :mod:`repro.common.envelope`): deterministic JSON plus an ASCII
+dashboard — one row per slice with windowed p50/p99/throughput/errors,
+``!`` markers where alerts were open, the event timeline, and a telemetry
+self-overhead section (slice/bucket counts and span sampler retention)
+proving the pipeline's memory stays bounded.
 
 Zero-cost contract: every producer hook takes ``live=None`` and guards
 with one truthiness check; a run without ``--live-report`` constructs
@@ -23,9 +23,10 @@ nothing from this module.
 
 from __future__ import annotations
 
-import json
 import math
 
+from repro.common.envelope import check_envelope, check_fields
+from repro.common.envelope import stable_round as _round
 from repro.common.errors import ConfigurationError
 from repro.obs.digest import (
     DEFAULT_GROWTH,
@@ -39,10 +40,6 @@ SCHEMA = "repro-live/1"
 
 #: Default dashboard slice width in virtual seconds.
 DEFAULT_SLICE_S = 1.0
-
-
-def _round(value: float, digits: int = 6) -> float:
-    return round(float(value), digits)
 
 
 class LiveTelemetry:
@@ -264,6 +261,12 @@ def build_live_report(live: LiveTelemetry, scenario: dict,
     }
 
 
+_REPORT_REQUIRED = {
+    "scenario": dict, "slice_s": float, "duration": float, "totals": dict,
+    "series": list, "rules": list, "alerts": list, "events": list,
+    "telemetry": dict,
+}
+
 _SERIES_REQUIRED = {
     "t": float, "ops": int, "errors": int, "censored": int,
     "throughput": float, "p50": float, "p99": float, "max": float,
@@ -276,97 +279,36 @@ _TOTALS_REQUIRED = {
     "mean": float, "max": float,
 }
 
-_ALERT_REQUIRED = ("rule", "fired_at", "cleared_at", "peak_burn", "event")
+_ALERT_REQUIRED = {
+    "rule": object, "fired_at": float, "cleared_at": (float, type(None)),
+    "peak_burn": object, "event": object,
+}
 
-
-def _check_fields(obj: dict, required: dict, what: str) -> None:
-    for field, kind in required.items():
-        if field not in obj:
-            raise ConfigurationError(f"{what} is missing {field!r}")
-        value = obj[field]
-        if kind is float:
-            ok = isinstance(value, (int, float)) and not isinstance(
-                value, bool)
-        elif kind is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        else:
-            ok = isinstance(value, kind)
-        if not ok:
-            raise ConfigurationError(
-                f"{what} field {field!r} has type {type(value).__name__}, "
-                f"expected {kind.__name__}")
+_TELEMETRY_REQUIRED = {
+    "slices": int, "digest_buckets": int, "record_calls": int,
+    "ops_per_virtual_s": float,
+}
 
 
 def validate_live_report(data: dict) -> None:
     """Schema check; raises :class:`ConfigurationError` on any mismatch."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("live report must be an object")
-    if data.get("schema") != SCHEMA:
-        raise ConfigurationError(
-            f"live report schema is {data.get('schema')!r}, "
-            f"expected {SCHEMA!r}")
-    if not isinstance(data.get("scenario"), dict):
-        raise ConfigurationError("live report needs a scenario object")
-    for field in ("slice_s", "duration"):
-        value = data.get(field)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigurationError(f"live report needs numeric {field!r}")
-    totals = data.get("totals")
-    if not isinstance(totals, dict):
-        raise ConfigurationError("live report needs a totals object")
-    _check_fields(totals, _TOTALS_REQUIRED, "totals")
-    series = data.get("series")
-    if not isinstance(series, list) or not series:
+    check_envelope(data, SCHEMA, "live report")
+    check_fields(data, _REPORT_REQUIRED, "live report")
+    check_fields(data["totals"], _TOTALS_REQUIRED, "totals")
+    if not data["series"]:
         raise ConfigurationError(
             "live report needs a non-empty series list")
-    for index, row in enumerate(series):
-        if not isinstance(row, dict):
-            raise ConfigurationError(f"series row {index} is not an object")
-        _check_fields(row, _SERIES_REQUIRED, f"series row {index}")
-    if not isinstance(data.get("rules"), list):
-        raise ConfigurationError("live report needs a rules list")
-    alerts = data.get("alerts")
-    if not isinstance(alerts, list):
-        raise ConfigurationError("live report needs an alerts list")
-    for index, alert in enumerate(alerts):
-        if not isinstance(alert, dict):
-            raise ConfigurationError(f"alert {index} is not an object")
-        for field in _ALERT_REQUIRED:
-            if field not in alert:
-                raise ConfigurationError(
-                    f"alert {index} is missing {field!r}")
-        fired = alert["fired_at"]
+    for index, row in enumerate(data["series"]):
+        check_fields(row, _SERIES_REQUIRED, f"series row {index}")
+    for index, alert in enumerate(data["alerts"]):
+        check_fields(alert, _ALERT_REQUIRED, f"alert {index}")
         cleared = alert["cleared_at"]
-        if cleared is not None and cleared < fired:
+        if cleared is not None and cleared < alert["fired_at"]:
             raise ConfigurationError(
                 f"alert {index} clears before it fires")
-    events = data.get("events")
-    if not isinstance(events, list):
-        raise ConfigurationError("live report needs an events list")
-    for index, event in enumerate(events):
-        if not isinstance(event, dict) or "label" not in event:
-            raise ConfigurationError(f"event {index} needs a label")
-    telemetry = data.get("telemetry")
-    if not isinstance(telemetry, dict):
-        raise ConfigurationError("live report needs a telemetry object")
-    for field in ("slices", "digest_buckets", "record_calls"):
-        if not isinstance(telemetry.get(field), int):
-            raise ConfigurationError(
-                f"telemetry is missing integer {field!r}")
-    rate = telemetry.get("ops_per_virtual_s")
-    if not isinstance(rate, (int, float)) or isinstance(rate, bool):
-        raise ConfigurationError(
-            "telemetry is missing numeric 'ops_per_virtual_s'")
-
-
-def dumps_live_report(data: dict) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_live_report(data: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_live_report(data))
+    for index, event in enumerate(data["events"]):
+        check_fields(event, {"label": object}, f"event {index}")
+    check_fields(data["telemetry"], _TELEMETRY_REQUIRED, "telemetry")
 
 
 def _fmt_ms(seconds: float) -> str:

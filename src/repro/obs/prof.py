@@ -30,9 +30,10 @@ the instruments only *read* wall clocks, a profiled run's simulation
 outputs (results, traces, live reports) are byte-identical to an
 unprofiled run's.
 
-The report is the house shape (``build``/``validate``/``dumps``/``write``/
-``render``) plus two flamegraph exporters: collapsed ("folded") stacks
-for ``flamegraph.pl`` and speedscope JSON for https://www.speedscope.app.
+The report is the house shape (``build``/``validate``/``render``, written
+through :mod:`repro.common.envelope`) plus two flamegraph exporters:
+collapsed ("folded") stacks for ``flamegraph.pl`` and speedscope JSON for
+https://www.speedscope.app.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import sys
 import threading
 import time
 
+from repro.common.envelope import check_envelope, check_fields
 from repro.common.errors import ConfigurationError
 
 SCHEMA = "repro-prof/1"
@@ -500,76 +502,41 @@ def build_prof_report(prof: ProfiledRun, scenario: dict,
     }
 
 
+_REPORT_REQUIRED = {
+    "scenario": dict, "host": dict, "wall_s": float, "sampler": dict,
+    "subsystems": dict, "hot": list, "throughput": dict,
+}
+
+_HOST_REQUIRED = dict.fromkeys(("python", "platform", "cpu_count"), object)
+
+_SUBSYSTEM_REQUIRED = dict.fromkeys(("calls", "total_s", "self_s"), float)
+
+_HOT_REQUIRED = dict.fromkeys(
+    ("func", "file", "self_samples", "total_samples"), object)
+
+_THROUGHPUT_REQUIRED = dict.fromkeys(
+    ("events", "events_per_wall_s", "virtual_s", "events_per_virtual_s"),
+    float)
+
+
 def validate_prof_report(data: dict) -> None:
     """Schema check; raises :class:`ConfigurationError` on any mismatch."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("prof report must be an object")
-    if data.get("schema") != SCHEMA:
-        raise ConfigurationError(
-            f"prof report schema is {data.get('schema')!r}, "
-            f"expected {SCHEMA!r}")
-    if not isinstance(data.get("scenario"), dict):
-        raise ConfigurationError("prof report needs a scenario object")
-    host = data.get("host")
-    if not isinstance(host, dict):
-        raise ConfigurationError("prof report needs a host object")
-    for field in ("python", "platform", "cpu_count"):
-        if field not in host:
-            raise ConfigurationError(f"prof host is missing {field!r}")
-    wall = data.get("wall_s")
-    if not isinstance(wall, (int, float)) or isinstance(wall, bool) \
-            or wall < 0:
-        raise ConfigurationError("prof report needs numeric wall_s >= 0")
-    sampler = data.get("sampler")
-    if not isinstance(sampler, dict):
-        raise ConfigurationError("prof report needs a sampler object")
-    if not isinstance(sampler.get("samples"), int) \
-            or sampler["samples"] < 0:
-        raise ConfigurationError("sampler needs an integer sample count")
-    interval = sampler.get("interval_s")
-    if not isinstance(interval, (int, float)) or interval <= 0:
+    check_envelope(data, SCHEMA, "prof report")
+    check_fields(data, _REPORT_REQUIRED, "prof report")
+    check_fields(data["host"], _HOST_REQUIRED, "prof host")
+    if data["wall_s"] < 0:
+        raise ConfigurationError("prof report needs wall_s >= 0")
+    sampler = data["sampler"]
+    check_fields(sampler, {"samples": int, "interval_s": float}, "sampler")
+    if sampler["samples"] < 0:
+        raise ConfigurationError("sampler needs a non-negative sample count")
+    if sampler["interval_s"] <= 0:
         raise ConfigurationError("sampler needs a positive interval_s")
-    subsystems = data.get("subsystems")
-    if not isinstance(subsystems, dict):
-        raise ConfigurationError("prof report needs a subsystems object")
-    for name, entry in subsystems.items():
-        if not isinstance(entry, dict):
-            raise ConfigurationError(f"subsystem {name!r} is not an object")
-        for field in ("calls", "total_s", "self_s"):
-            value = entry.get(field)
-            if not isinstance(value, (int, float)) \
-                    or isinstance(value, bool):
-                raise ConfigurationError(
-                    f"subsystem {name!r} needs numeric {field!r}")
-    hot = data.get("hot")
-    if not isinstance(hot, list):
-        raise ConfigurationError("prof report needs a hot list")
-    for index, row in enumerate(hot):
-        if not isinstance(row, dict):
-            raise ConfigurationError(f"hot row {index} is not an object")
-        for field in ("func", "file", "self_samples", "total_samples"):
-            if field not in row:
-                raise ConfigurationError(
-                    f"hot row {index} is missing {field!r}")
-    throughput = data.get("throughput")
-    if not isinstance(throughput, dict):
-        raise ConfigurationError("prof report needs a throughput object")
-    for field in ("events", "events_per_wall_s", "virtual_s",
-                  "events_per_virtual_s"):
-        value = throughput.get(field)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigurationError(
-                f"throughput needs numeric {field!r}")
-
-
-def dumps_prof_report(data: dict) -> str:
-    """Deterministic JSON encoding (content itself is wall-clock data)."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_prof_report(data: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_prof_report(data))
+    for name, entry in data["subsystems"].items():
+        check_fields(entry, _SUBSYSTEM_REQUIRED, f"subsystem {name!r}")
+    for index, row in enumerate(data["hot"]):
+        check_fields(row, _HOT_REQUIRED, f"hot row {index}")
+    check_fields(data["throughput"], _THROUGHPUT_REQUIRED, "throughput")
 
 
 def _fmt_s(seconds: float) -> str:

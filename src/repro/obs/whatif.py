@@ -24,9 +24,9 @@ deterministic JSON conventions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
+from repro.common.envelope import stable_round as _round
 from repro.common.errors import ConfigurationError
 
 SCHEMA = "repro-whatif/1"
@@ -60,10 +60,6 @@ MECHANISMS = {
 LOCK_STATIONS = ("hotlock", "hotrow", "appendhot")
 
 _TOL = 1e-9
-
-
-def _round(value: float, digits: int = 6) -> float:
-    return round(float(value), digits)
 
 
 def parse_whatif(spec: str) -> dict:
@@ -348,17 +344,6 @@ def oltp_whatif_report(tracer, scales: dict, warmup: float = 10.0,
         exposures=exposures, amdahl_floor=floor["mean"],
         per_class=predicted["per_class"],
     )
-
-
-def dumps_whatif_report(report: WhatIfReport) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(report.to_dict(), sort_keys=True,
-                      separators=(",", ":")) + "\n"
-
-
-def write_whatif_report(report: WhatIfReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_whatif_report(report))
 
 
 def render_whatif_report(report: WhatIfReport) -> str:

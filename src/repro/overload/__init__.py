@@ -30,11 +30,9 @@ from repro.overload.policy import (
 from repro.overload.report import (
     SCHEMA,
     build_overload_report,
-    dumps_overload_report,
     overload_report,
     render_overload_report,
     validate_overload_report,
-    write_overload_report,
 )
 from repro.overload.sim import SHED_FAULT, overload_open_loop
 
@@ -55,11 +53,9 @@ __all__ = [
     "SHED_QUEUE_FULL",
     "build_overload_report",
     "class_priority",
-    "dumps_overload_report",
     "functional_overload_cell",
     "overload_open_loop",
     "overload_report",
     "render_overload_report",
     "validate_overload_report",
-    "write_overload_report",
 ]

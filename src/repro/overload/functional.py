@@ -23,16 +23,13 @@ answer, not the answer itself.
 
 from __future__ import annotations
 
+from repro.common.envelope import stable_round as _round
 from repro.common.errors import FaultPlanError
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.faults.runner import FaultedYcsbRun
 from repro.overload.policy import OverloadPolicy
 from repro.ycsb.workloads import WORKLOADS
-
-
-def _round(value: float, digits: int = 6) -> float:
-    return round(float(value), digits)
 
 
 def _arm_dict(stats) -> dict:

@@ -29,9 +29,10 @@ the collapse/recovery contrast is visible in a terminal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
+from repro.common.envelope import check_envelope, check_fields
+from repro.common.envelope import stable_round as _round
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.overload.policy import OverloadPolicy
 
@@ -56,10 +57,6 @@ DEMO_MAX_ATTEMPTS = 4
 COLLAPSE_FRACTION = 0.5
 RECOVERY_FRACTION = 0.9
 RECOVERY_SUSTAIN_SLICES = 3
-
-
-def _round(value: float, digits: int = 6) -> float:
-    return round(float(value), digits)
 
 
 def demo_stations():
@@ -256,11 +253,18 @@ def overload_report(policy: OverloadPolicy | None = None, *,
 
 # -- validation ----------------------------------------------------------------
 
+_REPORT_REQUIRED = {
+    "scenario": dict,
+    "protected": dict,
+    "unprotected": dict,
+    "contrast": dict,
+}
+
 _ARM_REQUIRED = {
     "policy": str,
     "protected": bool,
-    "throughput": (int, float),
-    "goodput": (int, float),
+    "throughput": float,
+    "goodput": float,
     "arrivals": int,
     "completed_ops": int,
     "late_ops": int,
@@ -269,15 +273,16 @@ _ARM_REQUIRED = {
     "resubmits": int,
     "budget_denied": int,
     "duplicates": int,
-    "p99_ms": (int, float),
+    "p99_ms": float,
     "series": list,
-    "baseline_goodput": (int, float),
-    "collapsed_for_s": (int, float),
+    "baseline_goodput": float,
+    "collapsed_for_s": float,
     "recovered": bool,
+    "time_to_recovery_s": (float, type(None)),
 }
 
 _SERIES_REQUIRED = {
-    "t": (int, float),
+    "t": float,
     "arrivals": int,
     "completions": int,
     "good": int,
@@ -286,73 +291,27 @@ _SERIES_REQUIRED = {
 }
 
 _CONTRAST_REQUIRED = {
-    "unprotected_collapsed_for_s": (int, float),
+    "unprotected_collapsed_for_s": float,
     "protected_recovered": bool,
-    "goodput_ratio": (int, float),
+    "goodput_ratio": float,
     "metastable_demonstrated": bool,
 }
 
 
-def _check_fields(obj: dict, required: dict, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigurationError(f"overload report: {where} must be an object")
-    for key, types in required.items():
-        if key not in obj:
-            raise ConfigurationError(
-                f"overload report: {where} missing field {key!r}"
-            )
-        value = obj[key]
-        if isinstance(value, bool) and types is not bool:
-            raise ConfigurationError(
-                f"overload report: {where}.{key} has wrong type bool"
-            )
-        if not isinstance(value, types):
-            raise ConfigurationError(
-                f"overload report: {where}.{key} has wrong type "
-                f"{type(value).__name__}"
-            )
-
-
 def validate_overload_report(data: dict) -> None:
     """Schema check for a ``repro-overload/1`` document (raises on failure)."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("overload report must be a JSON object")
-    if data.get("schema") != SCHEMA:
-        raise ConfigurationError(
-            f"overload report: schema must be {SCHEMA!r}, "
-            f"got {data.get('schema')!r}"
-        )
-    for section in ("scenario", "protected", "unprotected", "contrast"):
-        if section not in data:
-            raise ConfigurationError(
-                f"overload report: missing section {section!r}"
-            )
+    check_envelope(data, SCHEMA, "overload report")
+    check_fields(data, _REPORT_REQUIRED, "overload report")
     for arm_name in ("protected", "unprotected"):
         arm = data[arm_name]
-        _check_fields(arm, _ARM_REQUIRED, arm_name)
-        if "time_to_recovery_s" not in arm:
-            raise ConfigurationError(
-                f"overload report: {arm_name} missing field "
-                "'time_to_recovery_s'"
-            )
+        check_fields(arm, _ARM_REQUIRED, arm_name)
         for i, entry in enumerate(arm["series"]):
-            _check_fields(entry, _SERIES_REQUIRED, f"{arm_name}.series[{i}]")
-    _check_fields(data["contrast"], _CONTRAST_REQUIRED, "contrast")
-    if not isinstance(data["scenario"].get("plan"), str):
-        raise ConfigurationError("overload report: scenario.plan must be a string")
+            check_fields(entry, _SERIES_REQUIRED, f"{arm_name}.series[{i}]")
+    check_fields(data["contrast"], _CONTRAST_REQUIRED, "contrast")
+    check_fields(data["scenario"], {"plan": str}, "scenario")
 
 
-# -- serialization / rendering -------------------------------------------------
-
-
-def dumps_overload_report(data: dict) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_overload_report(data: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_overload_report(data))
+# -- rendering -----------------------------------------------------------------
 
 
 _BARS = " .:-=+*#%@"

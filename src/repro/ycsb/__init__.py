@@ -15,7 +15,6 @@ from repro.ycsb.frontier import (
     frontier_report,
     render_frontier_report,
     validate_frontier_report,
-    write_frontier_report,
 )
 from repro.ycsb.trace import TraceOp, generate_trace, read_trace, replay, write_trace
 from repro.ycsb.generators import (
@@ -53,7 +52,6 @@ __all__ = [
     "frontier_report",
     "render_frontier_report",
     "validate_frontier_report",
-    "write_frontier_report",
     "TraceOp",
     "generate_trace",
     "read_trace",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import log
 
-from repro.common.errors import SimulationError
+from repro.common.errors import FaultPlanError, SimulationError
 from repro.common.rng import SeedStream, TpchRandom64
 from repro.common.stats import arithmetic_mean, percentile, std_error
 from repro.simcluster.events import Environment, Resource
@@ -100,6 +100,32 @@ def _pick_class(rng: TpchRandom64, mix: dict) -> str:
     return next(reversed(mix))
 
 
+def _station_faults(faults, retry_policy):
+    """``(StationFaults or None, retry policy)`` for the two FIFO simulators.
+
+    An ``arrival-spike`` reshapes the arrival process, which only the
+    overload-aware open loop models: here it would be silently ignored, so
+    it is rejected before anything is built.
+    """
+    if not faults:
+        return None, retry_policy
+    from repro.faults.plan import StationFaults
+    from repro.faults.retry import RetryPolicy
+
+    station_faults = (
+        faults if isinstance(faults, StationFaults) else StationFaults(faults)
+    )
+    if station_faults.arrival_windows():
+        raise FaultPlanError(
+            "arrival-spike only drives the overload-aware open-loop "
+            "simulator; add --overload (this simulator would ignore it)"
+        )
+    if not station_faults:
+        return None, retry_policy
+    return station_faults, (retry_policy if retry_policy is not None
+                            else RetryPolicy())
+
+
 def simulate_closed_loop(
     stations: list[SimStation],
     mix: dict,
@@ -140,7 +166,9 @@ def simulate_closed_loop(
     backoff, abandoning the op when the policy gives up), and ``crash``
     shrinks a station's capacity over the window.  With ``faults`` left
     ``None`` the simulation draws the exact same random numbers as before
-    the fault machinery existed — byte-identical results.
+    the fault machinery existed — byte-identical results.  An
+    ``arrival-spike`` raises :class:`~repro.common.errors.FaultPlanError`:
+    only the overload-aware open loop models the arrival process.
 
     ``live`` (a :class:`~repro.obs.live.LiveTelemetry`) streams every
     measured completion into bounded-memory windowed digests and evaluates
@@ -164,19 +192,7 @@ def simulate_closed_loop(
     if bounded and not live:
         raise SimulationError("bounded mode needs a live telemetry sink")
 
-    station_faults = None
-    policy = retry_policy
-    if faults:
-        from repro.faults.plan import StationFaults
-        from repro.faults.retry import RetryPolicy
-
-        station_faults = (
-            faults if isinstance(faults, StationFaults) else StationFaults(faults)
-        )
-        if not station_faults:
-            station_faults = None
-        elif policy is None:
-            policy = RetryPolicy()
+    station_faults, policy = _station_faults(faults, retry_policy)
 
     if prof is not None:
         from repro.obs.prof import profiled_live, profiled_tracer
@@ -576,19 +592,7 @@ def simulate_open_loop(
 
     from repro.ycsb.arrivals import PoissonArrivals
 
-    station_faults = None
-    policy = retry_policy
-    if faults:
-        from repro.faults.plan import StationFaults
-        from repro.faults.retry import RetryPolicy
-
-        station_faults = (
-            faults if isinstance(faults, StationFaults) else StationFaults(faults)
-        )
-        if not station_faults:
-            station_faults = None
-        elif policy is None:
-            policy = RetryPolicy()
+    station_faults, policy = _station_faults(faults, retry_policy)
 
     if prof is not None:
         from repro.obs.prof import profiled_live, profiled_tracer

@@ -26,9 +26,10 @@ search trajectory, and every simulated run are byte-reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
+from repro.common.envelope import check_envelope, check_fields
+from repro.common.envelope import stable_round as _round
 from repro.common.errors import ConfigurationError, SloUnreachableError
 
 SCHEMA = "repro-frontier/1"
@@ -51,10 +52,6 @@ LADDER_FRACTIONS = (0.3, 0.6, 0.8, 0.9, 1.0, 1.1)
 #: experience.  At 250 ms every default system brackets a knee and the
 #: journaled frontier's shift is visible instead of fatal.
 DEFAULT_SLO_MS = 250.0
-
-
-def _round(value: float, digits: int = 6) -> float:
-    return round(float(value), digits)
 
 
 def frontier_system_models() -> dict:
@@ -391,7 +388,7 @@ def frontier_report(systems=None, workloads=None, *,
     }
 
 
-# -- serialization & validation --------------------------------------------------
+# -- validation ------------------------------------------------------------------
 
 _POINT_REQUIRED = {
     "offered_ops_per_s": float, "throughput_ops_per_s": float,
@@ -413,53 +410,29 @@ _ROW_REQUIRED = {
 }
 
 
-def _check_fields(obj: dict, required: dict, where: str) -> None:
-    for fieldname, kind in required.items():
-        if fieldname not in obj:
-            raise ConfigurationError(f"{where} is missing {fieldname!r}")
-        value = obj[fieldname]
-        if kind is float:
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        elif kind is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        else:
-            ok = isinstance(value, kind)
-        if not ok:
-            raise ConfigurationError(
-                f"{where} field {fieldname!r} has type "
-                f"{type(value).__name__}, expected {kind.__name__}"
-            )
+_SCENARIO_REQUIRED = dict.fromkeys(
+    ("systems", "workloads", "slo_ms", "seed", "scale", "measure_ops",
+     "warmup_ops", "loop", "accounting"), object)
+
+_PROBE_REQUIRED = {"rate_ops_per_s": float, "p99_ms": float, "ok": bool}
 
 
 def validate_frontier_report(data: dict) -> None:
     """Schema check; raises :class:`ConfigurationError` on any mismatch."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("frontier report must be an object")
-    if data.get("schema") != SCHEMA:
-        raise ConfigurationError(
-            f"frontier report schema is {data.get('schema')!r}, "
-            f"expected {SCHEMA!r}"
-        )
-    scenario = data.get("scenario")
-    if not isinstance(scenario, dict):
-        raise ConfigurationError("frontier report needs a scenario object")
-    for fieldname in ("systems", "workloads", "slo_ms", "seed", "scale",
-                      "measure_ops", "warmup_ops", "loop", "accounting"):
-        if fieldname not in scenario:
-            raise ConfigurationError(f"scenario is missing {fieldname!r}")
-    rows = data.get("rows")
-    if not isinstance(rows, list) or not rows:
+    check_envelope(data, SCHEMA, "frontier report")
+    check_fields(data, {"scenario": dict, "rows": list}, "frontier report")
+    check_fields(data["scenario"], _SCENARIO_REQUIRED, "scenario")
+    rows = data["rows"]
+    if not rows:
         raise ConfigurationError("frontier report needs a non-empty rows list")
     for index, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ConfigurationError(f"row {index} is not an object")
-        _check_fields(row, _ROW_REQUIRED, f"row {index}")
+        check_fields(row, _ROW_REQUIRED, f"row {index}")
         if not row["points"]:
             raise ConfigurationError(f"row {index} has no sweep points")
         for pi, point in enumerate(row["points"]):
-            _check_fields(point, _POINT_REQUIRED, f"row {index} point {pi}")
+            check_fields(point, _POINT_REQUIRED, f"row {index} point {pi}")
         knee = row["knee"]
-        _check_fields(knee, _KNEE_REQUIRED, f"row {index} knee")
+        check_fields(knee, _KNEE_REQUIRED, f"row {index} knee")
         if knee["p99_ms"] > row["slo_ms"] + 1e-9:
             raise ConfigurationError(
                 f"row {index} knee p99 {knee['p99_ms']:g} ms exceeds its "
@@ -468,18 +441,7 @@ def validate_frontier_report(data: dict) -> None:
         if not knee["probes"]:
             raise ConfigurationError(f"row {index} knee has no probes")
         for qi, probe in enumerate(knee["probes"]):
-            _check_fields(probe, {"rate_ops_per_s": float, "p99_ms": float,
-                                  "ok": bool}, f"row {index} probe {qi}")
-
-
-def dumps_frontier_report(data: dict) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_frontier_report(data: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_frontier_report(data))
+            check_fields(probe, _PROBE_REQUIRED, f"row {index} probe {qi}")
 
 
 def render_frontier_report(data: dict) -> str:

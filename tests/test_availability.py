@@ -5,12 +5,12 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.common.envelope import dumps_report
 from repro.common.errors import ConfigurationError
 from repro.faults.availability import (
     SCHEMA,
     availability_report,
     availability_row,
-    dumps_availability_report,
     render_availability_report,
     validate_availability_report,
 )
@@ -59,8 +59,7 @@ class TestAvailabilityReport:
             chaos=ChaosConfig(kills=1, partitions=0, lag_spikes=0),
             operations=120, record_count=150, seed=11,
         )
-        assert dumps_availability_report(report) == \
-            dumps_availability_report(again)
+        assert dumps_report(report) == dumps_report(again)
 
     def test_render_smoke(self, report):
         text = render_availability_report(report)
@@ -80,22 +79,26 @@ class TestValidation:
             validate_availability_report(bad)
 
     def test_rejects_missing_row_field(self, report):
-        bad = json.loads(dumps_availability_report(report))
+        bad = json.loads(dumps_report(report))
         del bad["rows"][0]["lost_writes"]
         with pytest.raises(ConfigurationError):
             validate_availability_report(bad)
 
     def test_rejects_inconsistent_invariant(self, report):
-        bad = json.loads(dumps_availability_report(report))
+        bad = json.loads(dumps_report(report))
         bad["rows"][0]["violations"] = 3
         with pytest.raises(ConfigurationError):
             validate_availability_report(bad)
 
     def test_rejects_wrong_types(self, report):
-        bad = json.loads(dumps_availability_report(report))
+        bad = json.loads(dumps_report(report))
         bad["rows"][0]["elections"] = "one"
         with pytest.raises(ConfigurationError):
             validate_availability_report(bad)
+
+    def test_field_replacements_only_raise_configuration_errors(
+            self, report, assert_validator_total):
+        assert_validator_total(validate_availability_report, report)
 
 
 class TestStudyHook:

@@ -7,19 +7,22 @@ significance rule, and the CLI exit conventions.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.common.envelope import dumps_report, write_report
 from repro.common.errors import ConfigurationError
 from repro.obs import (
     compare_files,
     compare_runs,
-    dumps_compare_report,
     host_delta,
     render_compare_report,
     validate_compare_report,
-    write_compare_report,
 )
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _bench(pr, benchmarks, smoke=False, host=None):
@@ -107,6 +110,18 @@ class TestBenchCompare:
         assert host_delta(host_a, host_b)
         assert host_delta(host_a, dict(host_a)) == []
 
+    def test_field_replacements_only_raise_configuration_errors(
+            self, assert_validator_total):
+        # A kind that is a list or an object used to raise TypeError: it is
+        # unhashable in the known-kinds lookup.
+        a = _bench(8, {"x": _bench_entry(1.0, subsystems=_subs(loop=0.5))},
+                   host={"python": "3.11.7"})
+        b = _bench(9, {"x": _bench_entry(2.0, subsystems=_subs(loop=1.5))},
+                   host={"python": "3.12.1"})
+        report = compare_runs(a, b)
+        assert report["rows"] and report["attribution"] and report["notes"]
+        assert_validator_total(validate_compare_report, report)
+
 
 class TestProfAndLiveCompare:
     def _prof_doc(self, wall, loop, digest, scenario="s"):
@@ -171,11 +186,11 @@ class TestCompareFilesAndRendering:
         text = render_compare_report(report)
         assert "x.seconds" in text
         assert text.isascii()
-        dumped = dumps_compare_report(report)
+        dumped = dumps_report(report)
         assert dumped.endswith("\n")
         assert json.loads(dumped) == report
         out = tmp_path / "cmp.json"
-        write_compare_report(report, str(out))
+        write_report(report, str(out))
         assert json.loads(out.read_text()) == report
 
     def test_load_rejects_unknown_schema_and_missing_file(self, tmp_path):
@@ -214,6 +229,45 @@ class TestCompareCli:
         bogus.write_text('{"schema": "bogus/1"}')
         assert main(["--compare", str(bogus), str(bogus)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"schema": "repro-live/1"},
+        {"schema": "repro-live/1", "totals": 5},
+        {"schema": "repro-bench/1", "benchmarks": 5},
+        {"schema": "repro-bench/1", "benchmarks": {"x": {"stddev": "wide"}}},
+        {"schema": []},
+    ], ids=["schema-only-live", "live-totals-number", "bench-not-object",
+            "bench-stddev-string", "unhashable-schema"])
+    def test_compare_malformed_operand_exits_two(self, tmp_path, capsys,
+                                                 doc):
+        # Operands are validated on load: these used to print "no
+        # comparable metrics" and exit 0, or crash with a traceback.
+        from repro.cli import main
+
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--compare", str(path), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_compare_committed_bench_files(self, capsys):
+        from repro.cli import main
+
+        assert main(["--compare", str(REPO / "BENCH_8.json"),
+                     str(REPO / "BENCH_9.json")]) == 0
+        assert "run diff (bench)" in capsys.readouterr().out
+
+    def test_compare_unwritable_report_exits_two(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "missing" / "cmp.json"
+        assert main(["--compare", str(REPO / "BENCH_8.json"),
+                     str(REPO / "BENCH_9.json"),
+                     "--compare-report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_compare_missing_file_exits_two(self, tmp_path, capsys):
         from repro.cli import main

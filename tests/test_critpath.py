@@ -4,12 +4,12 @@ import json
 
 import pytest
 
+from repro.common.envelope import dumps_report
 from repro.common.errors import SimulationError
 from repro.obs import (
     NULL_TRACER,
     Tracer,
     critical_path,
-    dumps_critical_path,
     link_violations,
     nesting_violations,
     pick_root,
@@ -195,8 +195,8 @@ class TestCriticalPathSynthetic:
     def test_serialization_is_deterministic(self):
         tracer, _, _ = self._linked_run()
         path = critical_path(tracer)
-        text = dumps_critical_path(path)
-        assert text == dumps_critical_path(critical_path(tracer))
+        text = dumps_report(path.to_dict())
+        assert text == dumps_report(critical_path(tracer).to_dict())
         doc = json.loads(text)
         assert doc["schema"] == SCHEMA
         assert doc["root"]["seconds"] == 10.0
@@ -233,7 +233,7 @@ class TestCriticalPathTracedRuns:
     def test_extraction_is_deterministic_across_runs(self, causal_study):
         _, _, first = causal_study.critical_path(5, 1000.0, engine="hive")
         _, _, second = causal_study.critical_path(5, 1000.0, engine="hive")
-        assert dumps_critical_path(first) == dumps_critical_path(second)
+        assert dumps_report(first.to_dict()) == dumps_report(second.to_dict())
 
     def test_oltp_paths_deterministic_per_seed(self):
         from repro.core.oltp import OltpStudy
@@ -243,7 +243,7 @@ class TestCriticalPathTracedRuns:
         for seed in (1234, 1234, 99):
             _, _, _, path = study.critical_path(
                 "mongo-cs", "A", 20_000.0, duration=30.0, seed=seed)
-            runs.setdefault(seed, []).append(dumps_critical_path(path))
+            runs.setdefault(seed, []).append(dumps_report(path.to_dict()))
         assert runs[1234][0] == runs[1234][1]  # same seed -> identical path
         assert runs[1234][0] != runs[99][0]  # different seed -> different trace
 

@@ -4,11 +4,11 @@ import json
 
 import pytest
 
+from repro.common.envelope import dumps_report
 from repro.common.errors import ConfigurationError
 from repro.obs import (
     Tracer,
     decompose_query,
-    dumps_decomposition,
     fit_fixed_variable,
     render_decomposition,
 )
@@ -133,8 +133,8 @@ class TestPaperGrowthFactorFinding:
             causal_study.pdw_time(1, 1000.0), rel=1e-6)
 
     def test_serialization_and_render(self, report):
-        text = dumps_decomposition(report)
-        assert text == dumps_decomposition(report)
+        text = dumps_report(report.to_dict())
+        assert text == dumps_report(report.to_dict())
         doc = json.loads(text)
         assert doc["schema"] == "repro-decompose/1"
         assert len(doc["queries"]) == 4  # {hive,pdw} x {1,22}
@@ -148,5 +148,5 @@ class TestPaperGrowthFactorFinding:
 
     def test_empty_report_serializes(self):
         report = DecompositionReport(sfs=[250.0])
-        doc = json.loads(dumps_decomposition(report))
+        doc = json.loads(dumps_report(report.to_dict()))
         assert doc["queries"] == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import SimulationError
+from repro.common.errors import FaultPlanError, SimulationError
 from repro.faults.plan import FaultPlan
 from repro.obs.live import LiveTelemetry
 from repro.overload.policy import OverloadPolicy
@@ -43,6 +43,15 @@ class TestBasics:
             overload_open_loop(writes_only, mix, 10.0,
                                OverloadPolicy.parse("default"),
                                duration=5.0, warmup=1.0)
+        # An arrival spike reshapes arrivals, which only the overload
+        # simulator models: the FIFO simulators used to ignore it silently.
+        spike = FaultPlan.parse("arrival-spike:clients@1+1x3").station_faults
+        with pytest.raises(FaultPlanError, match="arrival-spike"):
+            simulate_closed_loop(single_station(), {"read": 1.0}, clients=2,
+                                 duration=5.0, warmup=1.0, faults=spike)
+        with pytest.raises(FaultPlanError, match="arrival-spike"):
+            simulate_open_loop(single_station(), {"read": 1.0}, rate=10.0,
+                               duration=5.0, warmup=1.0, faults=spike)
 
     def test_deterministic_given_seed(self):
         a = simulate_closed_loop(single_station(), {"read": 1.0}, clients=4,

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.common.envelope import dumps_report
 from repro.core.dss import DssStudy
 from repro.faults import FaultPlan, RetryPolicy
 from repro.faults.report import (
     dss_fault_report,
-    dumps_fault_report,
     oltp_fault_report,
 )
 from repro.obs import MetricsRegistry, Tracer, dumps_chrome_trace
@@ -30,7 +30,8 @@ class TestDssFaultDeterminism:
         plan = FaultPlan.parse("crash:n3@0.5", seed=11)
         report = dss_fault_report(study, 1, 1000.0, plan, tracer=tracer,
                                   metrics=metrics)
-        return dumps_fault_report(report), dumps_chrome_trace(tracer, metrics)
+        return (dumps_report(report.to_dict()),
+                dumps_chrome_trace(tracer, metrics))
 
     def test_byte_identical_report_and_trace(self, study):
         report_a, trace_a = self._run(study)
@@ -55,7 +56,8 @@ class TestOltpFaultDeterminism:
                                    shard_count=8, record_count=600,
                                    operations=1200, tracer=tracer,
                                    metrics=metrics)
-        return dumps_fault_report(report), dumps_chrome_trace(tracer, metrics)
+        return (dumps_report(report.to_dict()),
+                dumps_chrome_trace(tracer, metrics))
 
     def test_byte_identical_report_and_trace(self):
         report_a, trace_a = self._run()
@@ -68,10 +70,7 @@ class TestChaosDeterminism:
     """Same seed + same chaos schedule => byte-identical availability report."""
 
     def _run(self):
-        from repro.faults.availability import (
-            availability_report,
-            dumps_availability_report,
-        )
+        from repro.faults.availability import availability_report
         from repro.faults.chaos import ChaosConfig
 
         report = availability_report(
@@ -79,7 +78,7 @@ class TestChaosDeterminism:
             chaos=ChaosConfig(kills=1, partitions=1, lag_spikes=1),
             operations=150, record_count=150, seed=23,
         )
-        return dumps_availability_report(report)
+        return dumps_report(report)
 
     def test_byte_identical_availability_report(self):
         assert self._run() == self._run()

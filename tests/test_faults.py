@@ -278,5 +278,18 @@ class TestCliValidation:
     def test_fault_report_requires_faults(self, capsys):
         self._error(capsys, ["oltp", "--fault-report", "x.json"])
 
+    def test_arrival_spike_needs_overload(self, capsys):
+        # Only the overload simulator models arrivals: the closed loop and
+        # the plain frontier used to run as if the spike were not there.
+        err = self._error(capsys, ["oltp", "--faults",
+                                   "arrival-spike:clients@5+5x3",
+                                   "--duration", "20"])
+        assert "arrival-spike" in err and "--overload" in err
+        self._error(capsys, ["oltp", "--frontier",
+                             "--frontier-systems", "mongo-as",
+                             "--frontier-workloads", "A",
+                             "--frontier-ops", "2000", "--faults",
+                             "arrival-spike:clients@0.05+0.1x3"])
+
     def test_bad_target(self, capsys):
         self._error(capsys, ["oltp", "--target", "-100"])

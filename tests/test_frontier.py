@@ -5,19 +5,18 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.common.envelope import dumps_report, write_report
 from repro.common.errors import ConfigurationError, SloUnreachableError
 from repro.ycsb.frontier import (
     FRONTIER_SYSTEMS,
     LADDER_FRACTIONS,
     SCHEMA,
     apply_concern,
-    dumps_frontier_report,
     find_knee,
     frontier_report,
     frontier_system_models,
     render_frontier_report,
     validate_frontier_report,
-    write_frontier_report,
 )
 
 # Smoke budget: with only a 0.2 s measured window the backlog above the
@@ -172,21 +171,21 @@ class TestReport:
 
     def test_byte_deterministic_per_seed(self, report):
         again = frontier_report(**SMOKE)
-        assert dumps_frontier_report(again) == dumps_frontier_report(report)
+        assert dumps_report(again) == dumps_report(report)
 
     def test_seed_changes_the_bytes(self, report):
         other = frontier_report(**dict(SMOKE, seed=12))
-        assert dumps_frontier_report(other) != dumps_frontier_report(report)
+        assert dumps_report(other) != dumps_report(report)
 
     def test_json_round_trip_validates(self, report):
-        parsed = json.loads(dumps_frontier_report(report))
+        parsed = json.loads(dumps_report(report))
         validate_frontier_report(parsed)
 
     def test_write_and_reload(self, report, tmp_path):
         path = tmp_path / "frontier.json"
-        write_frontier_report(report, str(path))
+        write_report(report, str(path))
         assert json.loads(path.read_text()) == json.loads(
-            dumps_frontier_report(report))
+            dumps_report(report))
 
     def test_render_mentions_the_essentials(self, report):
         text = render_frontier_report(report)
@@ -214,7 +213,7 @@ class TestReport:
 
 class TestValidationRejections:
     def mutated(self, report, **changes):
-        clone = json.loads(dumps_frontier_report(report))
+        clone = json.loads(dumps_report(report))
         clone.update(changes)
         return clone
 
@@ -229,19 +228,19 @@ class TestValidationRejections:
             validate_frontier_report(bad)
 
     def test_missing_point_field(self, report):
-        bad = json.loads(dumps_frontier_report(report))
+        bad = json.loads(dumps_report(report))
         del bad["rows"][0]["points"][0]["p99_ms"]
         with pytest.raises(ConfigurationError):
             validate_frontier_report(bad)
 
     def test_knee_violating_its_own_slo(self, report):
-        bad = json.loads(dumps_frontier_report(report))
+        bad = json.loads(dumps_report(report))
         bad["rows"][0]["knee"]["p99_ms"] = bad["rows"][0]["slo_ms"] + 1.0
         with pytest.raises(ConfigurationError):
             validate_frontier_report(bad)
 
     def test_wrong_field_type(self, report):
-        bad = json.loads(dumps_frontier_report(report))
+        bad = json.loads(dumps_report(report))
         bad["rows"][0]["knee"]["bracketed"] = "yes"
         with pytest.raises(ConfigurationError):
             validate_frontier_report(bad)
@@ -249,6 +248,12 @@ class TestValidationRejections:
     def test_not_an_object(self):
         with pytest.raises(ConfigurationError):
             validate_frontier_report([])
+
+    def test_field_replacements_only_raise_configuration_errors(
+            self, report, assert_validator_total):
+        # A sweep point or knee probe that is not an object used to raise
+        # TypeError.
+        assert_validator_total(validate_frontier_report, report)
 
 
 class TestCli:

@@ -11,11 +11,11 @@ import json
 
 import pytest
 
+from repro.common.envelope import dumps_report
 from repro.common.errors import ConfigurationError
 from repro.obs import (
     LiveTelemetry,
     build_live_report,
-    dumps_live_report,
     parse_slo_rules,
     render_live_report,
     validate_live_report,
@@ -67,7 +67,7 @@ class TestCollector:
 
         report = build()
         validate_live_report(report)
-        assert dumps_live_report(report) == dumps_live_report(build())
+        assert dumps_report(report) == dumps_report(build())
         text = render_live_report(report)
         assert "live telemetry" in text
         assert "telemetry overhead" in text
@@ -100,7 +100,14 @@ class TestChaosLiveReport:
 
         validate_live_report(report)
         again = OltpStudy().live_report(span_sample="0.05")
-        assert dumps_live_report(report) == dumps_live_report(again)
+        assert dumps_report(report) == dumps_report(again)
+
+    def test_field_replacements_only_raise_configuration_errors(
+            self, report, assert_validator_total):
+        # An alert whose fired_at or cleared_at is not a number used to
+        # raise TypeError in the clears-before-it-fires comparison.
+        assert report["alerts"], "the chaos run must fire an alert"
+        assert_validator_total(validate_live_report, report)
 
     def test_kill_fires_attributed_alert_that_clears(self, report):
         kill_alerts = [

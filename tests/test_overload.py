@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.common.envelope import dumps_report
 from repro.common.errors import (
     ConfigurationError,
     DeadlineExceeded,
@@ -27,7 +28,6 @@ from repro.overload import (
     CircuitBreaker,
     OverloadPolicy,
     RetryBudget,
-    dumps_overload_report,
     functional_overload_cell,
     overload_open_loop,
     overload_report,
@@ -468,8 +468,8 @@ class TestMetastableDemo:
     def test_verdict_and_schema(self, demo):
         assert demo["contrast"]["metastable_demonstrated"]
         validate_overload_report(demo)
-        text = dumps_overload_report(demo)
-        assert text == dumps_overload_report(json.loads(text))
+        text = dumps_report(demo)
+        assert text == dumps_report(json.loads(text))
 
     def test_render_shows_both_arms(self, demo):
         text = render_overload_report(demo)
@@ -477,8 +477,7 @@ class TestMetastableDemo:
         assert "metastable failure demonstrated and fixed" in text
 
     def test_demo_is_deterministic(self, demo):
-        assert dumps_overload_report(overload_report(seed=1234)) == \
-            dumps_overload_report(demo)
+        assert dumps_report(overload_report(seed=1234)) == dumps_report(demo)
 
     def test_validation_rejects_mutations(self, demo):
         for mutate in (
@@ -487,10 +486,15 @@ class TestMetastableDemo:
             lambda d: d.update(schema="repro-overload/2"),
             lambda d: d["contrast"].update(metastable_demonstrated="yes"),
         ):
-            broken = json.loads(dumps_overload_report(demo))
+            broken = json.loads(dumps_report(demo))
             mutate(broken)
             with pytest.raises(ConfigurationError):
                 validate_overload_report(broken)
+
+    def test_field_replacements_only_raise_configuration_errors(
+            self, demo, assert_validator_total):
+        # A scenario that is not an object used to raise AttributeError.
+        assert_validator_total(validate_overload_report, demo)
 
     def test_fault_must_start_after_warmup(self):
         with pytest.raises(ConfigurationError):

@@ -13,11 +13,11 @@ import time
 
 import pytest
 
+from repro.common.envelope import dumps_report, write_report
 from repro.common.errors import ConfigurationError
 from repro.obs import (
     ProfiledRun,
     build_prof_report,
-    dumps_prof_report,
     folded_stacks,
     host_meta,
     profile_summary,
@@ -27,7 +27,6 @@ from repro.obs import (
     speedscope_document,
     validate_prof_report,
     write_folded,
-    write_prof_report,
     write_speedscope,
 )
 
@@ -211,7 +210,6 @@ class TestByteIdentity:
 
     def test_live_report_bytes_identical_with_and_without_prof(self):
         from repro.core.oltp import OltpStudy
-        from repro.obs import dumps_live_report
 
         study = OltpStudy()
         kwargs = dict(operations=120, seed=5, slice_s=0.1)
@@ -219,7 +217,7 @@ class TestByteIdentity:
         prof = ProfiledRun(sample=False).start()
         profiled = study.live_report("mongo-as", prof=prof, **kwargs)
         prof.stop()
-        assert dumps_live_report(profiled) == dumps_live_report(bare)
+        assert dumps_report(profiled) == dumps_report(bare)
         table = prof.subsystem_table()
         assert table["routing"]["calls"] > 0
         assert table["digest.update"]["calls"] > 0
@@ -339,11 +337,11 @@ class TestProfReport:
         assert "eventsim.loop" in text
         assert text.isascii()
 
-        dumped = dumps_prof_report(report)
+        dumped = dumps_report(report)
         assert dumped.endswith("\n")
         assert json.loads(dumped) == report
         path = tmp_path / "prof.json"
-        write_prof_report(report, str(path))
+        write_report(report, str(path))
         assert json.loads(path.read_text()) == report
 
     def test_build_requires_stopped_profiler(self):
@@ -358,6 +356,11 @@ class TestProfReport:
         report["schema"] = "repro-prof/0"
         with pytest.raises(ConfigurationError):
             validate_prof_report(report)
+
+    def test_field_replacements_only_raise_configuration_errors(
+            self, assert_validator_total):
+        report = build_prof_report(self._profiled(), {"kind": "test"})
+        assert_validator_total(validate_prof_report, report)
 
     def test_profile_summary_shape(self):
         prof = self._profiled()

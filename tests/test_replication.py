@@ -295,16 +295,17 @@ class TestClusterWiring:
     def test_bare_cluster_baseline_accounting_unchanged(self):
         """replication=None must reproduce the PR 3 error accounting."""
         from repro.faults.plan import FaultPlan
-        from repro.faults.report import dumps_fault_report, oltp_fault_report
+        from repro.common.envelope import dumps_report
+        from repro.faults.report import oltp_fault_report
 
         plan = FaultPlan.parse("kill-shard:0@0.25;restart-shard:0@0.75",
                                seed=7)
 
         def run(**kwargs):
-            return dumps_fault_report(oltp_fault_report(
+            return dumps_report(oltp_fault_report(
                 plan, workload="A", system="mongo-as", shard_count=8,
                 record_count=600, operations=1200, **kwargs,
-            ))
+            ).to_dict())
 
         assert run() == run(replication=None)
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.common.envelope import dumps_report
 from repro.common.errors import (
     ChunkMoving,
     ConfigurationError,
@@ -20,7 +21,6 @@ from repro.faults.chaos import ChaosConfig
 from repro.faults.plan import TOPOLOGY_KINDS, FaultPlan, FaultSpec
 from repro.faults.reshard import (
     SCHEMA,
-    dumps_reshard_report,
     render_reshard_report,
     reshard_report,
     reshard_row,
@@ -439,7 +439,7 @@ class TestReshardReport:
             systems=["mongo-as", "mongo-cs"], reshard="scale:shards=3@0.3",
             shard_count=2, record_count=150, operations=300, seed=11,
         )
-        assert dumps_reshard_report(report) == dumps_reshard_report(again)
+        assert dumps_report(report) == dumps_report(again)
 
     def test_render_smoke(self, report):
         text = render_reshard_report(report)
@@ -459,22 +459,26 @@ class TestValidation:
             validate_reshard_report(bad)
 
     def test_rejects_missing_row_field(self, report):
-        bad = json.loads(dumps_reshard_report(report))
+        bad = json.loads(dumps_report(report))
         del bad["rows"][0]["time_to_rebalance_s"]
         with pytest.raises(ConfigurationError):
             validate_reshard_report(bad)
 
     def test_rejects_zero_migrations(self, report):
-        bad = json.loads(dumps_reshard_report(report))
+        bad = json.loads(dumps_report(report))
         bad["rows"][0]["migrations"] = 0
         with pytest.raises(ConfigurationError):
             validate_reshard_report(bad)
 
     def test_rejects_inconsistent_invariant(self, report):
-        bad = json.loads(dumps_reshard_report(report))
+        bad = json.loads(dumps_report(report))
         bad["rows"][0]["violations"] = 2
         with pytest.raises(ConfigurationError):
             validate_reshard_report(bad)
+
+    def test_field_replacements_only_raise_configuration_errors(
+            self, report, assert_validator_total):
+        assert_validator_total(validate_reshard_report, report)
 
 
 class TestWriteSafetyUnderChaos:

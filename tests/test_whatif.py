@@ -6,12 +6,12 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main as cli_main
+from repro.common.envelope import dumps_report
 from repro.common.errors import ConfigurationError
 from repro.obs import (
     MECHANISMS,
     Tracer,
     dss_whatif_report,
-    dumps_whatif_report,
     oltp_whatif_report,
     parse_whatif,
     render_whatif_report,
@@ -160,8 +160,8 @@ class TestWhatIfReportSerialization:
     def test_deterministic_json_and_schema(self, causal_study):
         _, _, report = causal_study.whatif_query(
             1, 250.0, {"map-startup": 0.0}, engine="hive")
-        text = dumps_whatif_report(report)
-        assert text == dumps_whatif_report(report)
+        text = dumps_report(report.to_dict())
+        assert text == dumps_report(report.to_dict())
         doc = json.loads(text)
         assert doc["schema"] == "repro-whatif/1"
         assert doc["kind"] == "dss"
