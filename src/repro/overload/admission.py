@@ -21,7 +21,8 @@ Policies (service order / overflow victim):
 * ``lifo`` — newest-first service (adaptive LIFO); overflow sheds the
   oldest waiter, the one most likely already abandoned by its client;
 * ``deadline-drop`` — FIFO service, but expired waiters are purged at
-  every grant/enqueue, so dead requests never reach a server;
+  every grant/enqueue, so dead requests never reach a server (the queue
+  is scanned only once the clock reaches a lower bound on its deadlines);
 * ``priority`` — waiters ordered by (priority, arrival); overflow sheds
   the worst-priority waiter (ties favor the incumbent).
 """
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
+from math import inf
 
 from repro.common.errors import SimulationError
 from repro.simcluster.events import Event, Resource
@@ -67,6 +69,10 @@ class AdmissionResource(Resource):
         self.policy = policy
         self.shed = {SHED_QUEUE_FULL: 0, SHED_DEADLINE: 0}
         self._order = 0
+        # A lower bound on the queued deadlines: lowered on enqueue, exact
+        # after each purge scan.  A waiter that leaves (granted, or shed as
+        # a victim) only makes it stale-low, which costs one extra scan.
+        self._earliest = inf
 
     # -- shedding internals ---------------------------------------------------
 
@@ -77,14 +83,21 @@ class AdmissionResource(Resource):
         waiter.succeed(reason)
 
     def _purge_expired(self) -> None:
-        """Drop every waiter whose deadline has passed (deadline-drop)."""
+        """Drop every waiter whose deadline has passed (deadline-drop).
+
+        Nothing can have expired before the clock reaches ``_earliest``,
+        so the queue is scanned only from then on.
+        """
         now = self.env.now
+        if now < self._earliest:
+            return
         expired = [w for w in self._waiting
                    if w.deadline is not None and now >= w.deadline]
-        if not expired:
-            return
-        self._waiting = deque(w for w in self._waiting
-                              if w.deadline is None or now < w.deadline)
+        if expired:
+            self._waiting = deque(w for w in self._waiting
+                                  if w.deadline is None or now < w.deadline)
+        self._earliest = min((w.deadline for w in self._waiting
+                              if w.deadline is not None), default=inf)
         for waiter in expired:
             self._shed(waiter, SHED_DEADLINE)
 
@@ -114,6 +127,8 @@ class AdmissionResource(Resource):
         self.total_waits += 1
         if self._trace:
             self._wait_since[id(grant)] = self.env.now
+        if deadline is not None and deadline < self._earliest:
+            self._earliest = deadline
         if self.policy == "lifo":
             self._waiting.appendleft(grant)
         elif self.policy == "priority":

@@ -70,7 +70,8 @@ def overload_open_loop(
     with neither set every completion is good).  ``series_slice`` turns on
     the per-slice time series the metastable report renders.
     """
-    from repro.ycsb.eventsim import OpenLoopResult, _pick_class, station_routes
+    from repro.ycsb.eventsim import (
+        OpenLoopResult, _pick_class, class_thresholds, station_routes)
 
     if rate <= 0:
         raise SimulationError(f"arrival rate must be > 0, got {rate:g}")
@@ -102,6 +103,7 @@ def overload_open_loop(
         for s in stations
     }
     routes = station_routes(stations, resources, mix)
+    thresholds = class_thresholds(mix)
     pool = Resource(env, workers) if workers is not None else None
     seeds = SeedStream(seed)
     slo = slo_s if slo_s is not None else policy.deadline_s
@@ -223,7 +225,8 @@ def overload_open_loop(
         prio = class_priority(op_class)
         if pool is not None:
             grant = pool.request()
-            yield grant
+            if not grant.triggered:
+                yield grant
             if k == 0:
                 state["dispatched"] = env.now
                 counters["lag"] = max(
@@ -236,7 +239,8 @@ def overload_open_loop(
                 ok = False
                 break
             grant = resource.request(deadline=deadline, priority=prio)
-            outcome = yield grant
+            # A door-shed comes back fired too, with "queue-full".
+            outcome = grant.value if grant.triggered else (yield grant)
             if outcome is not None:
                 state["last_shed"] = outcome
                 ok = False
@@ -251,7 +255,7 @@ def overload_open_loop(
             service = -mean * log(1.0 - random_float())
             if station_faults:
                 service *= station_faults.slowdown(name, env.now)
-            yield env.timeout(service)
+            yield service
             resource.release()
             if station_faults:
                 probability = station_faults.error_probability(
@@ -312,7 +316,7 @@ def overload_open_loop(
     def arrival_source() -> object:
         for index, at in enumerate(arrival_times()):
             if at > env.now:
-                yield env.timeout(at - env.now)
+                yield at - env.now
             measured = at >= warmup
             if measured:
                 counters["arrivals"] += 1
@@ -322,7 +326,7 @@ def overload_open_loop(
                 "index": index,
                 "intended": at,
                 "dispatched": at,
-                "class": _pick_class(cls_rng, mix),
+                "class": _pick_class(cls_rng.random_float(), thresholds),
                 "deadline": (
                     at + policy.deadline_s
                     if policy.deadline_s is not None else None),

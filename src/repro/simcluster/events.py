@@ -2,17 +2,25 @@
 
 This is the substrate under every performance number in the reproduction:
 simulated processes are plain Python generators that ``yield`` events
-(timeouts, resource grants), and the single-threaded event loop advances a
-virtual clock.  The design mirrors SimPy's process-interaction style but is
-self-contained (no external dependency) and fully deterministic: ties in the
-event heap are broken by insertion order.
+(timeouts, resource grants) or bare ``float`` delays, and the
+single-threaded event loop advances a virtual clock.  The design mirrors
+SimPy's process-interaction style but is self-contained (no external
+dependency) and fully deterministic: ties in the event heap are broken by
+insertion order.
 
-Events fire through the one dispatch loop in :meth:`Environment.run`, with
-one exception: a :class:`Resource` grant that finds a free server has
-already fired when :meth:`Resource.request` returns it, so the requesting
-process continues without a heap round trip.  Events are slotted objects
-and a :class:`Timeout` pushes its heap entry directly, because the
-simulators create several of each per simulated op.
+A heap entry is ``(when, sequence, fire, arg)``: the loop in
+:meth:`Environment.run` sets the clock to ``when`` and calls
+``fire(arg)``.  ``(when, sequence)`` is unique, so nothing past it is ever
+compared.  An event's entry fires it and runs its callbacks.  A process
+wakes without any event object: when it yields a ``float`` delay it
+pushes its own resume callback, keyed ``(now + delay, sequence)`` exactly
+as a :class:`Timeout` built at that moment would be, and a new process
+pushes its start entry the same way.  A :class:`Resource` grant that finds
+a free server has already fired when :meth:`Resource.request` returns it,
+so the requesting process continues without a heap round trip (the
+simulators check :attr:`Event.triggered` and do not yield it at all).
+Events are slotted objects, because the simulators create some per
+simulated op.
 """
 
 from __future__ import annotations
@@ -23,6 +31,15 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.common.errors import SimulationError
+
+
+def _fire(event: "Event") -> None:
+    """Dispatch an event's heap entry: mark it fired, run its callbacks."""
+    event._fired = True
+    callbacks = event._callbacks
+    event._callbacks = None
+    for callback in callbacks:
+        callback(event)
 
 
 class Event:
@@ -50,7 +67,7 @@ class Event:
         self.value = value
         env = self.env
         env._sequence += 1
-        heappush(env._queue, (env.now, env._sequence, self))
+        heappush(env._queue, (env.now, env._sequence, _fire, self))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -73,7 +90,11 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay."""
+    """An event that fires after a fixed simulated delay.
+
+    A process that only sleeps can yield the ``float`` delay instead; a
+    timeout is for when an *event* is needed (callbacks, :meth:`all_of`).
+    """
 
     __slots__ = ()
 
@@ -87,51 +108,66 @@ class Timeout(Event):
         self._callbacks = []
         self._fired = False
         env._sequence += 1
-        heappush(env._queue, (env.now + delay, env._sequence, self))
+        heappush(env._queue, (env.now + delay, env._sequence, _fire, self))
 
 
 class Process(Event):
     """Wraps a generator; the process itself is an event that fires on return.
 
-    The generator yields :class:`Event` objects.  When a yielded event fires,
-    the generator is resumed with the event's value.  When the generator
-    returns, the process event fires with the return value, so processes can
-    wait on each other (fork/join).
+    The generator yields :class:`Event` objects or ``float`` delays.  When a
+    yielded event fires, the generator is resumed with the event's value; a
+    delay resumes it with ``None`` that many simulated seconds later.  When
+    the generator returns, the process event fires with the return value, so
+    processes can wait on each other (fork/join).
     """
 
-    __slots__ = ("_generator", "_resume_callback")
+    __slots__ = ("_send", "_resume_callback")
 
     def __init__(self, env: "Environment", generator: Generator):
         super().__init__(env)
-        self._generator = generator
+        self._send = generator.send
         # One bound method for every wait.  It refers back to the process,
         # so it is dropped when the generator returns: a finished process
         # is then freed by reference counting, not by the cyclic collector.
         self._resume_callback = self._resume
-        # Bootstrap: resume once at the current time.
-        bootstrap = Event(env)
-        bootstrap.succeed()
-        bootstrap._callbacks.append(self._resume_callback)
+        # Start: resume once at the current time, from an entry of its own.
+        env._sequence += 1
+        heappush(env._queue,
+                 (env.now, env._sequence, self._resume_callback, None))
 
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: Optional[Event]) -> None:
+        """Send into the generator until it waits; ``None`` is a wake-up."""
+        send = self._send
+        value = None if event is None else event.value
         # Keep sending while the yielded event has already fired (a free
         # server's grant): a loop, so a long run of them never recurses.
         while True:
             try:
-                target = self._generator.send(event.value)
+                target = send(value)
             except StopIteration as stop:
                 self._resume_callback = None
                 if not self.triggered:
                     self.succeed(stop.value)
                 return
+            if type(target) is float:
+                # Pushed at the yield, so the key is the one a Timeout
+                # built just before it would have taken.
+                if not target >= 0:
+                    raise SimulationError(f"negative timeout {target}")
+                env = self.env
+                env._sequence += 1
+                heappush(env._queue, (env.now + target, env._sequence,
+                                      self._resume_callback, None))
+                return
             if not isinstance(target, Event):
                 raise SimulationError(
-                    f"process yielded {target!r}; processes must yield Event objects"
+                    f"process yielded {target!r}; processes must yield "
+                    "Event objects or float delays"
                 )
             if not target._fired:
                 target._callbacks.append(self._resume_callback)
                 return
-            event = target
+            value = target.value
 
 
 class Environment:
@@ -142,7 +178,7 @@ class Environment:
     wait/hold spans, queueing counters, and busy/queue-depth utilization
     series.  ``prof`` (a :class:`repro.obs.prof.ProfiledRun`) charges each
     :meth:`run` call's wall time to the ``eventsim.loop`` subsystem counter
-    and counts the events it dispatched.  The dispatch loop is the same
+    and counts the heap entries it dispatched.  The dispatch loop is the same
     with or without hooks; ``prof`` is looked at once per :meth:`run`.
     """
 
@@ -152,7 +188,8 @@ class Environment:
         self.metrics = metrics
         self.sampler = sampler
         self.prof = prof
-        self._queue: list[tuple[float, int, Event]] = []
+        # (when, sequence, fire, arg): see the module docstring.
+        self._queue: list[tuple[float, int, Callable[[Any], None], Any]] = []
         # Bumped by every heap push, so pushes = sequence delta.
         self._sequence = 0
         # The one already-fired grant every free-server request returns.
@@ -187,25 +224,21 @@ class Environment:
         limit = float("inf") if until is None else until
         try:
             while queue:
-                when, sequence, event = heappop(queue)
+                when, sequence, fire, arg = heappop(queue)
                 if when > limit:
                     # Put it back; (when, sequence) keys are unique, so the
-                    # dispatch order of the remaining events is unchanged.
-                    heappush(queue, (when, sequence, event))
+                    # dispatch order of the remaining entries is unchanged.
+                    heappush(queue, (when, sequence, fire, arg))
                     break
                 self.now = when
-                event._fired = True
-                callbacks = event._callbacks
-                event._callbacks = None
-                for callback in callbacks:
-                    callback(event)
+                fire(arg)
             if until is not None:
                 self.now = until
         finally:
             if prof is not None:
                 prof.exit()
-                # Every event pushed during the run and no longer queued
-                # was dispatched.
+                # Every entry pushed during the run and no longer queued
+                # was dispatched (wake-ups and starts included).
                 prof.count_events((self._sequence - pushed_before)
                                   - (len(queue) - queued_before))
                 prof.note_virtual_time(self.now)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import log
 
 from repro.common.errors import FaultPlanError, SimulationError
-from repro.common.rng import SeedStream, TpchRandom64
+from repro.common.rng import SeedStream
 from repro.common.stats import arithmetic_mean, percentile, std_error
 from repro.simcluster.events import Environment, Resource
 
@@ -90,14 +90,26 @@ def station_routes(stations: list[SimStation], resources: dict,
     return routes
 
 
-def _pick_class(rng: TpchRandom64, mix: dict) -> str:
-    u = rng.random_float()
+def class_thresholds(mix: dict) -> list[tuple[float, str]]:
+    """Cumulative ``(threshold, op class)`` pairs, accumulated in mix order.
+
+    Built once per run; :func:`_pick_class` then walks them per op.
+    """
+    thresholds = []
     acc = 0.0
     for op_class, fraction in mix.items():
         acc += fraction
+        thresholds.append((acc, op_class))
+    return thresholds
+
+
+def _pick_class(u: float, thresholds: list[tuple[float, str]]) -> str:
+    """The op class a uniform draw ``u`` picks (the last one if rounding
+    leaves the cumulative sum below ``u``)."""
+    for acc, op_class in thresholds:
         if u < acc:
             return op_class
-    return next(reversed(mix))
+    return thresholds[-1][1]
 
 
 def _station_faults(faults, retry_policy):
@@ -254,16 +266,19 @@ def simulate_closed_loop(
                                          crash_windows))
 
     routes = station_routes(stations, resources, mix)
+    thresholds = class_thresholds(mix)
 
     def client(index: int):
         rng = seeds.rng_for("client", index)
         random_float = rng.random_float
-        timeout = env.timeout
         fault_rng = seeds.rng_for("fault", index) if station_faults else None
+        # Sleeps yield bare float delays and a grant that comes back
+        # already fired (a free server) is not yielded: the heap sees the
+        # same pushes in the same order as with Timeout events.
         while True:
             if think_time > 0:
-                yield timeout(-think_time * log(1.0 - random_float()))
-            op_class = _pick_class(rng, mix)
+                yield -think_time * log(1.0 - random_float())
+            op_class = _pick_class(random_float(), thresholds)
             start = env.now
             failed = False
             attempts = 0
@@ -272,12 +287,13 @@ def simulate_closed_loop(
                 while True:
                     t_enter = env.now
                     grant = resource.request()
-                    yield grant
+                    if not grant.triggered:
+                        yield grant
                     t_granted = env.now
                     service = -mean * log(1.0 - random_float())
                     if station_faults:
                         service *= station_faults.slowdown(name, env.now)
-                    yield timeout(service)
+                    yield service
                     # Release on the normal path only — no try/finally.  A
                     # ``finally`` here would also fire on GeneratorExit when the
                     # garbage collector finalizes clients left suspended at the
@@ -327,7 +343,7 @@ def simulate_closed_loop(
                                 op_spans.append(backoff)
                             if metrics:
                                 metrics.counter("ycsb.retried_ops").inc()
-                            yield timeout(delay)
+                            yield env.timeout(delay)
                             continue  # retry this station visit
                     break
                 if failed:
@@ -661,18 +677,21 @@ def simulate_open_loop(
                                          crash_windows))
 
     routes = station_routes(stations, resources, mix)
+    thresholds = class_thresholds(mix)
 
     def operation(index: int, intended: float, measured: bool):
         rng = seeds.rng_for("op", index)
+        random_float = rng.random_float
         fault_rng = seeds.rng_for("op-fault", index) if station_faults else None
-        op_class = _pick_class(rng, mix)
+        op_class = _pick_class(random_float(), thresholds)
         if measured:
             pending[index] = intended
         dispatch = intended
         op_spans = []
         if pool is not None:
             grant = pool.request()
-            yield grant
+            if not grant.triggered:
+                yield grant
             dispatch = env.now
             lag = dispatch - intended
             counters["lag"] = max(counters["lag"], lag)
@@ -684,17 +703,17 @@ def simulate_open_loop(
                 ))
         failed = False
         attempts = 0
-        random_float = rng.random_float
         for name, resource, mean in routes[op_class]:
             while True:
                 t_enter = env.now
                 grant = resource.request()
-                yield grant
+                if not grant.triggered:
+                    yield grant
                 t_granted = env.now
                 service = -mean * log(1.0 - random_float())
                 if station_faults:
                     service *= station_faults.slowdown(name, env.now)
-                yield env.timeout(service)
+                yield service
                 # Release on the normal path only (see the closed loop's
                 # note on GC-time phantom spans).
                 resource.release()
@@ -783,7 +802,7 @@ def simulate_open_loop(
         index = 0
         for at in schedule.until(duration):
             if at > env.now:
-                yield env.timeout(at - env.now)
+                yield at - env.now
             measured = at >= warmup
             if measured:
                 counters["arrivals"] += 1

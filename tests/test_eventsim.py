@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import FaultPlanError, SimulationError
 from repro.faults.plan import FaultPlan
 from repro.obs.live import LiveTelemetry
+from repro.obs.prof import ProfiledRun
 from repro.overload.policy import OverloadPolicy
 from repro.overload.sim import overload_open_loop
 from repro.ycsb.eventsim import (
@@ -172,7 +173,8 @@ class TestSchedulePin:
     These compare with numbers recorded from an earlier version of the
     kernel and the three client loops, so a change that reorders events,
     draws a random number in a different order or skips a fault query
-    fails here even if it is deterministic.
+    fails here even if it is deterministic.  The heap entries each run
+    dispatches are pinned too, so the heap traffic stays the same.
     """
 
     STATIONS = [
@@ -253,6 +255,18 @@ class TestSchedulePin:
             self._overload(), 1501, 300.2,
             {"read": "0.4071527814713754", "update": "0.4185030492235152"},
             [250.4, 311.2, 315.2, 324.0], shed={"queue-full": 1902})
+
+    @pytest.mark.parametrize("cell, faulted, events", [
+        ("_closed", False, 9287),
+        ("_closed", True, 7363),
+        ("_open", False, 13182),
+        ("_open", True, 12735),
+    ])
+    def test_dispatched_heap_entries(self, cell, faulted, events):
+        prof = ProfiledRun(sample=False)
+        faults = {"faults": FaultPlan.parse(self.FAULTS)} if faulted else {}
+        getattr(self, cell)(prof=prof, **faults)
+        assert prof.events == events
 
     def test_overload_with_faults(self):
         self._assert_pinned(

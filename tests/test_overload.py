@@ -301,6 +301,46 @@ class TestAdmissionResource:
         assert victim._fired and victim.value == SHED_QUEUE_FULL
         assert resource.shed[SHED_QUEUE_FULL] == 1
 
+    def test_deadline_drop_sheds_after_earliest_waiter_leaves(self):
+        """Granting the earliest-deadline waiter leaves the purge's bound on
+        the queued deadlines behind; later expiries are still shed, with
+        "deadline", at the next request() or release(), in queue order."""
+        env = Environment()
+        resource = AdmissionResource(env, 1, queue_limit=8,
+                                     policy="deadline-drop")
+        events = []
+
+        def requester(tag, deadline, hold):
+            outcome = yield resource.request(deadline=deadline)
+            events.append((tag, outcome, env.now))
+            if outcome is None:
+                yield env.timeout(hold)
+                resource.release()
+
+        def staged():
+            env.process(requester("holder", None, 1.0))
+            yield env.timeout(0.1)
+            env.process(requester("first", 1.2, 2.0))   # earliest deadline
+            env.process(requester("b1", 2.0, 1.0))
+            env.process(requester("b2", 2.0, 1.0))
+            env.process(requester("c", 2.5, 1.0))
+            yield env.timeout(2.1)
+            # t=2.2: b1 and b2 have expired; this request() sheds them.
+            env.process(requester("late", None, 1.0))
+
+        env.process(staged())
+        env.run()
+        assert events == [
+            ("holder", None, 0.0),
+            ("first", None, 1.0),         # granted ahead of the expiries
+            ("b1", SHED_DEADLINE, 2.2),   # shed by the newcomer's request()
+            ("b2", SHED_DEADLINE, 2.2),
+            ("c", SHED_DEADLINE, 3.0),    # shed by first's release()
+            ("late", None, 3.0),
+        ]
+        assert resource.shed == {SHED_QUEUE_FULL: 0, SHED_DEADLINE: 3}
+        assert resource.queue_length == 0 and resource.in_use == 0
+
     @pytest.mark.parametrize("policy, served", [
         ("reject", ["a", "b", "c", "d"]),
         ("lifo", ["a", "d", "c", "b"]),

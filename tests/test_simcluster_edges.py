@@ -4,8 +4,10 @@ These pin down the corner semantics the tracing layer (and everything else)
 relies on: zero-delay timeouts still go through the queue, heap ties resolve
 in insertion order, double-``succeed`` is an error, callbacks added
 after an event fired run immediately, a free server's grant has already
-fired when ``request`` returns it, and a finished process leaves no
-reference cycle behind.
+fired when ``request`` returns it, a yielded ``float`` delay wakes a
+process in exactly the order a ``Timeout`` would, a new process costs one
+heap push and no event, and a finished process leaves no reference cycle
+behind.
 """
 
 import gc
@@ -14,7 +16,7 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.obs import MetricsRegistry, Tracer, overlap_violations
-from repro.simcluster.events import Environment, Event, Resource
+from repro.simcluster.events import Environment, Event, Process, Resource
 
 
 class TestZeroDelayTimeouts:
@@ -145,22 +147,108 @@ class TestKernelChecks:
         env.run()
         assert env.now == 0.0
 
+        # A yielded float delay is checked the same way.
+        def proc(delay):
+            yield delay
+
+        for delay in (-1.0, float("nan")):
+            env = Environment()
+            env.process(proc(delay))
+            with pytest.raises(SimulationError, match="negative timeout"):
+                env.run()
+            assert env.now == 0.0
+
     def test_infinite_timeout_is_legal(self):
         env = Environment()
         never = env.timeout(float("inf"))
+        woken = []
+
+        def sleeper():
+            yield float("inf")
+            woken.append(env.now)
+
+        env.process(sleeper())
         env.run(until=100.0)
         assert not never._fired
+        assert woken == []
         assert env.now == 100.0
 
     def test_yielding_a_non_event_raises(self):
+        # Only an exact float is a delay: an int, a bool, None or a string
+        # is still a wrong yield.
+        def proc(value):
+            yield value
+
+        for value in (3, True, None, "1.0"):
+            env = Environment()
+            env.process(proc(value))
+            with pytest.raises(SimulationError, match="must yield Event"):
+                env.run()
+
+
+class TestFloatDelays:
+    """A yielded float wakes the process from the heap key a Timeout built
+    at the same moment would get, so the schedule cannot tell them apart."""
+
+    PLANS = {"a": (1.0, 0.5, 0.0, 0.25), "b": (0.5, 1.0, 0.0),
+             "c": (1.5, 0.0, 0.25), "d": (0.0, 1.5, 0.25)}
+    # Recorded from the all-Timeout program.
+    ORDER = [
+        ("d", 0.0), ("b", 0.5), ("a", 1.0), ("c", 1.5), ("d", 1.5),
+        ("b", 1.5), ("a", 1.5), ("c", 1.5), ("b", 1.5), ("a", 1.5),
+        ("b-held", 1.625), ("d", 1.75), ("c", 1.75), ("a", 1.75),
+        ("d-held", 1.875), ("c-held", 2.0), ("a-held", 2.125),
+    ]
+
+    @pytest.mark.parametrize("mode", ["timeout", "float", "mixed"])
+    def test_dispatch_order_matches_all_timeout_program(self, mode):
         env = Environment()
+        resource = Resource(env, capacity=1)
+        order = []
+
+        def sleep(delay, step):
+            if mode == "timeout" or (mode == "mixed" and step % 2):
+                return env.timeout(delay)
+            return delay
+
+        def proc(tag, delays):
+            for step, delay in enumerate(delays):
+                yield sleep(delay, step)
+                order.append((tag, env.now))
+            yield resource.request()
+            yield sleep(0.125, len(delays))
+            resource.release()
+            order.append((tag + "-held", env.now))
+
+        for tag, delays in self.PLANS.items():
+            env.process(proc(tag, delays))
+        env.run()
+        assert order == self.ORDER
+        assert env._sequence == 27
+        assert env.now == 2.125
+
+    def test_process_start_is_one_push_and_no_event(self, monkeypatch):
+        env = Environment()
+        built = []
+        init = Event.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
 
         def proc():
-            yield 3
+            yield 1.0
 
-        env.process(proc())
-        with pytest.raises(SimulationError, match="must yield Event"):
-            env.run()
+        sequence = env._sequence
+        process = env.process(proc())
+        assert env._sequence == sequence + 1
+        assert built == [Process]  # the process's own join event only
+        env.run()
+        assert env.now == 1.0 and process.triggered
+        # The wake-up built no event either; the return fired the process.
+        assert built == [Process]
 
 
 class TestFinishedProcessesAreFreed:
@@ -172,19 +260,29 @@ class TestFinishedProcessesAreFreed:
         returns.  If it were kept, every finished per-op process would wait
         for the cyclic collector and an open-loop run's memory would grow.
         """
+        self._assert_no_cycles(float_delays=False)
+
+    def test_finished_float_delay_processes_leave_no_cycles(self):
+        """The same holds when processes sleep on bare float delays, whose
+        heap entries hold the resume callback itself."""
+        self._assert_no_cycles(float_delays=True)
+
+    @staticmethod
+    def _assert_no_cycles(float_delays):
         env = Environment()
         resource = Resource(env, capacity=2)
+        sleep = float if float_delays else env.timeout
 
         def op(i):
             yield resource.request()
-            yield env.timeout(0.001 * (i % 7))
+            yield sleep(0.001 * (i % 7))
             resource.release()
             return i
 
         def source():
             for i in range(300):
                 env.process(op(i))
-                yield env.timeout(0.0005)
+                yield sleep(0.0005)
 
         gc.collect()
         gc.disable()
