@@ -47,10 +47,18 @@ def _parse_whatif_for(spec: str, family: str, context: str) -> dict:
     return scales
 
 
-def _parse_query_list(spec: str, flag: str) -> list[int]:
-    """Parse a comma-separated TPC-H query list like ``1,22``."""
+def _require_query(number: int, what: str) -> None:
     from repro.tpch.queries import QUERY_NUMBERS
 
+    if number not in QUERY_NUMBERS:
+        raise ConfigurationError(
+            f"{what} {number} is not a TPC-H query "
+            f"({min(QUERY_NUMBERS)}-{max(QUERY_NUMBERS)})"
+        )
+
+
+def _parse_query_list(spec: str, flag: str) -> list[int]:
+    """Parse a comma-separated TPC-H query list like ``1,22``."""
     numbers: list[int] = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -62,11 +70,7 @@ def _parse_query_list(spec: str, flag: str) -> list[int]:
             raise ConfigurationError(
                 f"malformed {flag} entry {chunk!r}: expected a query number"
             ) from None
-        if number not in QUERY_NUMBERS:
-            raise ConfigurationError(
-                f"{flag} query {number} is not a TPC-H query "
-                f"({min(QUERY_NUMBERS)}-{max(QUERY_NUMBERS)})"
-            )
+        _require_query(number, f"{flag} query")
         if number not in numbers:
             numbers.append(number)
     if not numbers:
@@ -424,6 +428,7 @@ def _cmd_dss(args) -> int:
     )
 
     _require_positive(args.calibration_sf, "--calibration-sf")
+    _require_query(args.trace_query, "--trace-query")
     _require_positive(args.trace_sf, "--trace-sf")
     if args.fault_report and not args.faults:
         raise ConfigurationError("--fault-report requires --faults")
@@ -850,6 +855,7 @@ def _cmd_scorecard(args) -> int:
 def _cmd_explain(args) -> int:
     from repro.core.explain import explain_query
 
+    _require_query(args.number, "query")
     _require_positive(args.sf, "--sf")
     print(explain_query(args.number, args.sf))
     return 0
@@ -872,6 +878,7 @@ def _cmd_query(args) -> int:
     from repro.tpch.dbgen import DbGen
     from repro.tpch.queries import run_query
 
+    _require_query(args.number, "query")
     _require_positive(args.sf, "--sf")
     db = DbGen(scale_factor=args.sf, seed=args.seed).generate()
     rows = run_query(args.number, db)

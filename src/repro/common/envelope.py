@@ -25,14 +25,18 @@ def dumps_report(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def write_report(doc: dict, path: str) -> None:
-    """Write :func:`dumps_report` output; an unwritable path is a usage error."""
-    text = dumps_report(doc)
+def write_text(text: str, path: str) -> None:
+    """Write ``text`` to ``path``; an unwritable path is a usage error."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+
+
+def write_report(doc: dict, path: str) -> None:
+    """Write :func:`dumps_report` output; an unwritable path is a usage error."""
+    write_text(dumps_report(doc), path)
 
 
 def stable_round(value: float, digits: int = 6) -> float:

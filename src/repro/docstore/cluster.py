@@ -9,6 +9,8 @@ bases they share with SQL-CS.
 * :class:`MongoCsCluster` — the authors' client-side variant: the same
   mongod processes, but the client hash-routes keys itself; no mongos, no
   config server, no balancer, and scans must broadcast to every shard.
+  Each shard returns its ``count`` entries still encoded; the client
+  merges them on keys and decodes only the rows it returns.
 
 The paper runs Mongo-CS and SQL-CS (:class:`repro.sqlstore.cluster.SqlCsCluster`)
 under the same client-side hash sharding, so only the storage engine
@@ -31,7 +33,10 @@ routing, placement, and every counter behave exactly as before.
 
 from __future__ import annotations
 
+import heapq
 import zlib
+from itertools import islice
+from operator import itemgetter
 
 from repro.common.errors import (
     ChunkMoving,
@@ -41,6 +46,7 @@ from repro.common.errors import (
     ShardingError,
     StaleConfigError,
 )
+from repro.docstore import bson
 from repro.docstore.chunks import (
     Balancer,
     Chunk,
@@ -267,12 +273,10 @@ class HashShardedCluster(ShardedCluster):
     default stays byte-identical to the paper's deployment.
 
     A subclass supplies the one-shard storage calls ``_insert``, ``_read``,
-    ``_update``, ``_scan``, ``_keys`` (every key on the shard) and
-    ``_remove``, plus ``_key_field``, the row field that scans sort on and
-    check ownership of.
+    ``_update``, ``_scan_entries`` (``(key, encoded)`` entries in key
+    order), ``_keys`` (every key on the shard) and ``_remove``, plus
+    ``_decode(key, data)``, which turns one kept entry into a scan row.
     """
-
-    _key_field: str
 
     def __init__(self, shard_count: int, *, elastic: bool = False, **kwargs):
         super().__init__(shard_count, **kwargs)
@@ -435,23 +439,26 @@ class HashShardedCluster(ShardedCluster):
         return changed
 
     def scan(self, start_key: str, count: int) -> list[dict]:
-        """Hash sharding scatters ranges: every shard must be queried."""
-        field = self._key_field
-        partials: list[dict] = []
+        """Hash sharding scatters ranges: every shard must be queried, and
+        each returns ``count`` entries.  Each key lives on exactly one shard
+        (once strays are filtered), so merging the key-ordered lists on keys
+        gives the scan order, and only the first ``count`` are decoded."""
+        partials: list[list[tuple]] = []
         for index in range(len(self.shards)):
             if index in self._retired and self.ring is not None:
                 continue  # a drained shard holds at most already-moved strays
-            rows = self._on_shard(
-                index, lambda i=index: self._scan(i, start_key, count)
+            entries = self._on_shard(
+                index, lambda i=index: self._scan_entries(i, start_key, count)
             )
             if self.ring is not None:
                 # Elastic mode can leave short-lived strays (post-flip,
                 # pre-cleanup); ownership filtering keeps scans exact.
-                rows = [r for r in rows
-                        if self._shard_index(r[field]) == index]
-            partials.extend(rows)
-        partials.sort(key=lambda r: r[field])
-        return partials[:count]
+                entries = [e for e in entries
+                           if self._shard_index(e[0]) == index]
+            partials.append(entries)
+        merged = heapq.merge(*partials, key=itemgetter(0))
+        return [self._decode(key, data)
+                for key, data in islice(merged, max(count, 0))]
 
     def shards_touched_by_scan(self, start_key: str, count: int) -> int:
         return len(self.shards) - len(self._retired)
@@ -460,8 +467,6 @@ class HashShardedCluster(ShardedCluster):
 class _MongoShards:
     """Mongo storage: one mongod per shard (a replica set with
     ``replication``), documents keyed by ``_id`` in one collection."""
-
-    _key_field = "_id"
 
     def _build_shard(self, index: int):
         if self.replication is None:
@@ -484,8 +489,14 @@ class _MongoShards:
     def _update(self, shard: int, key: str, fieldname: str, value) -> bool:
         return self.shards[shard].update(self.collection, key, fieldname, value)
 
-    def _scan(self, shard: int, start_key: str, count: int) -> list[dict]:
-        return self.shards[shard].scan(self.collection, start_key, count)
+    def _scan_entries(self, shard: int, start_key: str,
+                      count: int) -> list[tuple]:
+        return self.shards[shard].scan_entries(self.collection, start_key,
+                                               count)
+
+    @staticmethod
+    def _decode(key: str, data: bytes) -> dict:
+        return bson.decode(data)  # the document carries its own _id
 
     def _keys(self, shard: int) -> list[str]:
         return self.shards[shard].collection(self.collection).keys_in_range(
@@ -715,23 +726,25 @@ class MongoAsCluster(_MongoShards, ShardedCluster):
         return changed
 
     def scan(self, start_key: str, count: int) -> list[dict]:
-        """Range scan: visits chunks in key order, usually just one."""
+        """Range scan: visits chunks in key order, usually just one.  Each
+        chunk's shard is asked for the entries still missing; those past the
+        chunk's high key are dropped undecoded."""
         self.routed_ops += 1
         out: list[dict] = []
         for chunk in self.config.chunks_from(start_key):
             if len(out) >= count:
                 break
             low = start_key if chunk.contains(start_key) else (chunk.low or "")
-            documents = self._on_shard(
+            entries = self._on_shard(
                 chunk.shard,
-                lambda c=chunk, lo=low: self._scan(
+                lambda c=chunk, lo=low: self._scan_entries(
                     c.shard, lo, count - len(out)
                 ),
             )
-            for document in documents:
-                if chunk.high is not None and document["_id"] >= chunk.high:
+            for key, data in entries:
+                if chunk.high is not None and key >= chunk.high:
                     break
-                out.append(document)
+                out.append(self._decode(key, data))
         return out[:count]
 
     def shards_touched_by_scan(self, start_key: str, count: int) -> int:

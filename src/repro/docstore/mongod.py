@@ -88,8 +88,10 @@ class Collection:
         self.bytes_stored += len(new_data)
         return True
 
-    def scan(self, start_key, count: int) -> list[dict]:
-        return [bson.decode(d) for _, d in self._index.range_scan(start_key, count)]
+    def scan_entries(self, start_key, count: int) -> list[tuple]:
+        """Up to ``count`` ``(_id, BSON bytes)`` entries from ``start_key``,
+        in key order, still encoded."""
+        return self._index.range_scan(start_key, count)
 
     def remove(self, key) -> bool:
         data = self._index.get(key)
@@ -206,15 +208,22 @@ class Mongod:
         finally:
             self.lock.release_write()
 
-    def scan(self, collection: str, start_key, count: int) -> list[dict]:
+    def scan_entries(self, collection: str, start_key, count: int) -> list[tuple]:
+        """A range scan under the shared lock that leaves decoding to the
+        caller: ``(_id, BSON bytes)`` entries in key order, so a merging
+        client decodes only the documents it keeps."""
         self._check_alive()
         self.lock.acquire_read()
         try:
             self.ops += 1
             self._record_hold("read")
-            return self.collection(collection).scan(start_key, count)
+            return self.collection(collection).scan_entries(start_key, count)
         finally:
             self.lock.release_read()
+
+    def scan(self, collection: str, start_key, count: int) -> list[dict]:
+        return [bson.decode(data)
+                for _, data in self.scan_entries(collection, start_key, count)]
 
     def remove(self, collection: str, key) -> bool:
         self._check_alive()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
+from repro.common.envelope import write_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer
 
@@ -149,15 +150,13 @@ def write_chrome_trace(
     sampler=None,
 ) -> int:
     """Write the trace JSON to ``path``; returns the number of span events."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_chrome_trace(tracer, metrics, sampler))
+    write_text(dumps_chrome_trace(tracer, metrics, sampler), path)
     return len(tracer.spans)
 
 
 def write_metrics(path: str, metrics: MetricsRegistry) -> int:
     """Write the metrics snapshot as JSON; returns the number of metrics."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(metrics.to_json(indent=2))
+    write_text(metrics.to_json(indent=2), path)
     return len(metrics)
 
 

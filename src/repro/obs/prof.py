@@ -45,7 +45,7 @@ import sys
 import threading
 import time
 
-from repro.common.envelope import check_envelope, check_fields
+from repro.common.envelope import check_envelope, check_fields, write_text
 from repro.common.errors import ConfigurationError
 
 SCHEMA = "repro-prof/1"
@@ -619,8 +619,7 @@ def folded_stacks(prof: ProfiledRun) -> str:
 def write_folded(prof: ProfiledRun, path: str) -> int:
     """Write folded stacks; returns the number of distinct stacks."""
     text = folded_stacks(prof)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    write_text(text, path)
     return len(text.splitlines())
 
 
@@ -663,6 +662,4 @@ def speedscope_document(prof: ProfiledRun,
 
 def write_speedscope(prof: ProfiledRun, path: str,
                      name: str = "repro self-profile") -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(speedscope_document(prof, name), handle)
-        handle.write("\n")
+    write_text(json.dumps(speedscope_document(prof, name)) + "\n", path)

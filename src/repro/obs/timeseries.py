@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.common.envelope import write_text
 from repro.common.errors import SimulationError
 
 # Glyph ramp for the sparkline heatmap, darkest = saturated.
@@ -387,8 +388,7 @@ def dumps_series(sampler: UtilizationSampler) -> str:
 
 
 def write_series_json(path: str, sampler: UtilizationSampler) -> int:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_series(sampler))
+    write_text(dumps_series(sampler), path)
     return len(sampler.series())
 
 
@@ -407,8 +407,7 @@ def series_to_csv(sampler: UtilizationSampler) -> str:
 def write_series_csv(path: str, sampler: UtilizationSampler) -> int:
     """Write the CSV export; returns the number of data rows."""
     text = series_to_csv(sampler)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    write_text(text, path)
     return text.count("\n") - 1
 
 

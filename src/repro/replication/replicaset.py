@@ -172,13 +172,13 @@ class ReplicaSet:
     """A primary/secondary mongod group with a Mongod-compatible surface.
 
     Presents the same op methods as a bare :class:`Mongod` (``insert``,
-    ``find_one``, ``update``, ``scan``, ``remove``, ``collection``, ``kill``,
-    ``restart``) so the existing Mongo-AS/Mongo-CS clusters can swap one in
-    per shard.  Additionally exposes the replication-only controls the chaos
-    harness drives: ``tick``, ``kill_member``/``restart_member``,
-    ``partition_member``/``heal_member``, ``lag_spike``, and the
-    acknowledged-write bookkeeping (``take_last_write``,
-    ``consume_ack_delay``, ``rolled_back``).
+    ``find_one``, ``update``, ``scan``, ``scan_entries``, ``remove``,
+    ``collection``, ``kill``, ``restart``) so the existing Mongo-AS/Mongo-CS
+    clusters can swap one in per shard.  Additionally exposes the
+    replication-only controls the chaos harness drives: ``tick``,
+    ``kill_member``/``restart_member``, ``partition_member``/``heal_member``,
+    ``lag_spike``, and the acknowledged-write bookkeeping
+    (``take_last_write``, ``consume_ack_delay``, ``rolled_back``).
     """
 
     def __init__(
@@ -563,6 +563,10 @@ class ReplicaSet:
         if fresh and behind:
             self.stale_reads += 1
         return member.mongod.find_one(collection, key)
+
+    def scan_entries(self, collection: str, start_key, count: int) -> list[tuple]:
+        return self._require_primary().mongod.scan_entries(
+            collection, start_key, count)
 
     def scan(self, collection: str, start_key, count: int) -> list[dict]:
         return self._require_primary().mongod.scan(collection, start_key, count)

@@ -2,8 +2,10 @@
 
 The client hashes each key to one of the server nodes (the same crc32
 routing Mongo-CS uses, so the two are directly comparable); scans must be
-broadcast to every node and merged, which is why SQL-CS loses workload E to
-the range-partitioned Mongo-AS.
+broadcast to every node, which is why SQL-CS loses workload E to the
+range-partitioned Mongo-AS.  Every node runs the full scan transaction and
+returns its ``count`` rows still encoded; the client merges them on keys
+and decodes only the rows it returns.
 
 Routing, elastic resharding, shard-failure mapping, the broadcast scan and
 the replication surface are :class:`~repro.docstore.cluster.HashShardedCluster`'s,
@@ -18,15 +20,13 @@ from __future__ import annotations
 
 from repro.docstore.cluster import HashShardedCluster
 from repro.sqlstore.locks import IsolationLevel
-from repro.sqlstore.server import SqlServerNode
+from repro.sqlstore.server import SqlServerNode, decode_entry
 
 _KEY_MAX = "￿"  # sorts after every YCSB key
 
 
 class SqlCsCluster(HashShardedCluster):
     """Client-side sharded SQL Server (one SqlServerNode per shard)."""
-
-    _key_field = "_key"
 
     def __init__(
         self,
@@ -68,8 +68,11 @@ class SqlCsCluster(HashShardedCluster):
     def _update(self, shard: int, key: str, fieldname: str, value: str) -> bool:
         return self.shards[shard].update(key, fieldname, value)
 
-    def _scan(self, shard: int, start_key: str, count: int) -> list[dict]:
-        return self.shards[shard].scan(start_key, count)
+    def _scan_entries(self, shard: int, start_key: str,
+                      count: int) -> list[tuple[str, bytes]]:
+        return self.shards[shard].scan_entries(start_key, count)
+
+    _decode = staticmethod(decode_entry)
 
     def _keys(self, shard: int) -> list[str]:
         return self.shards[shard].keys_in_range("", _KEY_MAX)

@@ -31,8 +31,8 @@ class MirroredSqlServerNode:
     """A principal/mirror pair with synchronous commit and auto-failover.
 
     Presents the same surface as a bare :class:`SqlServerNode` (``insert``,
-    ``read``, ``update``, ``scan``, ``remove``, ``keys_in_range``, ``kill``,
-    ``restart``, ``row_count``, ``alive``) so
+    ``read``, ``update``, ``scan``, ``scan_entries``, ``remove``,
+    ``keys_in_range``, ``kill``, ``restart``, ``row_count``, ``alive``) so
     :class:`repro.sqlstore.cluster.SqlCsCluster` can use one per shard
     unchanged; its ack bookkeeping (``consume_ack_delay``,
     ``take_last_write``) feeds the replication surface the cluster shares
@@ -115,6 +115,9 @@ class MirroredSqlServerNode:
 
     def keys_in_range(self, low: str, high: str) -> list[str]:
         return self.principal.keys_in_range(low, high)
+
+    def scan_entries(self, start_key: str, count: int) -> list[tuple[str, bytes]]:
+        return self.principal.scan_entries(start_key, count)
 
     def scan(self, start_key: str, count: int) -> list[dict]:
         return self.principal.scan(start_key, count)

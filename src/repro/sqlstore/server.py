@@ -25,6 +25,14 @@ from repro.sqlstore.wal import LogOp, WriteAheadLog
 DEFAULT_POOL_PAGES = 4096  # scaled-down functional default (32 MB)
 
 
+def decode_entry(key: str, data: bytes) -> dict[str, str]:
+    """One scanned ``(key, row bytes)`` entry as the row a scan returns:
+    the decoded columns plus the clustering key under ``_key``."""
+    row = decode_row(data)
+    row["_key"] = key
+    return row
+
+
 class SqlServerNode:
     """A single-node SQL Server instance serving YCSB-style operations."""
 
@@ -247,7 +255,11 @@ class SqlServerNode:
         self._check_alive()
         return [k for k, _ in self.index.items() if low <= k < high]
 
-    def scan(self, start_key: str, count: int) -> list[dict[str, str]]:
+    def scan_entries(self, start_key: str, count: int) -> list[tuple[str, bytes]]:
+        """A range scan as one transaction that leaves decoding to the
+        caller: ``(key, row bytes)`` entries in key order, each S-locked and
+        read through the buffer pool, so a merging client decodes only the
+        rows it keeps (:func:`decode_entry`)."""
         self._check_alive()
         txid = self._begin()
         try:
@@ -256,13 +268,14 @@ class SqlServerNode:
                 if self.isolation is IsolationLevel.READ_COMMITTED:
                     self._acquire(txid, key, LockMode.SHARED)
                 self._access(page_id)
-                data = self.pages.get(page_id).get(key)
-                row = decode_row(data)
-                row["_key"] = key
-                out.append(row)
+                out.append((key, self.pages.get(page_id).get(key)))
             return out
         finally:
             self._commit(txid)
+
+    def scan(self, start_key: str, count: int) -> list[dict[str, str]]:
+        return [decode_entry(key, data)
+                for key, data in self.scan_entries(start_key, count)]
 
     @property
     def row_count(self) -> int:

@@ -79,3 +79,73 @@ def assert_validator_total():
             container[key] = original
 
     return check
+
+
+#: ``(start index, count)`` of the scans the scan-contract check runs, in
+#: order: single rows, ranges across chunk and page boundaries, a tail
+#: shorter than ``count``, and a start past every key.
+SCAN_SEQUENCE = ((0, 1), (0, 10), (37, 25), (90, 100), (150, 60), (199, 5),
+                 (250, 10))
+
+
+@pytest.fixture
+def assert_scan_contract(monkeypatch):
+    """``check(cluster, shadow)``: every scan of :data:`SCAN_SEQUENCE` keeps
+    the scan contract.
+
+    ``shadow`` maps each key to the row a scan returns for it.  Each scan's
+    rows must equal the sorted shadow from its start key on, and it must
+    decode exactly one entry (BSON document or SQL row) per row returned.
+    On a hash-sharded cluster every live shard must still have returned
+    ``min(count, its keys >= start)`` entries, strays included: the
+    broadcast is modelled work, only host-side decoding is saved.
+    """
+    from repro.docstore import bson
+    from repro.docstore.cluster import HashShardedCluster
+    from repro.docstore.mongod import Mongod
+    from repro.sqlstore import server
+    from repro.ycsb.workloads import make_key
+
+    decodes = [0]
+    returned: dict[str, list[int]] = {}
+
+    def counting(decode):
+        def spy(data):
+            decodes[0] += 1
+            return decode(data)
+        return spy
+
+    def recording(scan_entries):
+        def spy(node, *args):
+            entries = scan_entries(node, *args)
+            returned.setdefault(node.name, []).append(len(entries))
+            return entries
+        return spy
+
+    monkeypatch.setattr(bson, "decode", counting(bson.decode))
+    monkeypatch.setattr(server, "decode_row", counting(server.decode_row))
+    for node in (Mongod, server.SqlServerNode):
+        monkeypatch.setattr(node, "scan_entries",
+                            recording(node.scan_entries))
+
+    def check(cluster, shadow):
+        hashed = isinstance(cluster, HashShardedCluster)
+        for start, count in SCAN_SEQUENCE:
+            start_key = make_key(start)
+            expected = {}
+            if hashed:
+                for index, shard in enumerate(cluster.shards):
+                    if index not in cluster.retired_shards:
+                        held = [k for k in cluster._keys(index)
+                                if k >= start_key]
+                        expected[shard.name] = [min(count, len(held))]
+            decodes[0] = 0
+            returned.clear()
+            rows = cluster.scan(start_key, count)
+            want = [shadow[k] for k in sorted(shadow) if k >= start_key]
+            assert rows == want[:count], (start, count)
+            assert decodes[0] == len(rows), (start, count)
+            if hashed:
+                assert returned == expected, (start, count)
+
+    return check

@@ -88,6 +88,36 @@ class TestCli:
     def test_oltp_bad_workload(self, capsys):
         assert main(["oltp", "--workload", "Z"]) == 2
 
+    @staticmethod
+    def _usage_error(capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "99"],
+        ["explain", "0"],
+        ["dss", "--trace-query", "99"],
+        ["dss", "--trace-query", "99", "--trace", "t.json"],
+    ])
+    def test_bad_query_number_is_a_usage_error(self, argv, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert "not a TPC-H query" in self._usage_error(capsys, argv)
+        assert not any(tmp_path.iterdir())  # checked before any work
+
+    @pytest.mark.parametrize("command", [
+        ["oltp", "--workload", "C", "--duration", "12"],
+        ["dss", "--trace-query", "6", "--trace-sf", "1"],
+    ])
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics", "--utilization"])
+    def test_unwritable_output_is_a_usage_error(self, command, flag, tmp_path,
+                                                capsys):
+        path = str(tmp_path / "no_such_dir" / "out")
+        assert "cannot write" in self._usage_error(capsys, [*command, flag, path])
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

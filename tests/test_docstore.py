@@ -115,6 +115,9 @@ class TestMongod:
             m.insert("c", {"_id": make_key(i), "v": i})
         docs = m.scan("c", make_key(2), 3)
         assert [d["v"] for d in docs] == [2, 3, 4]
+        entries = m.scan_entries("c", make_key(2), 3)  # the same, encoded
+        assert docs == [bson.decode(data) for _, data in entries]
+        assert [key for key, _ in entries] == [d["_id"] for d in docs]
 
     def test_bytes_tracked(self):
         m = Mongod("m0")
@@ -302,6 +305,50 @@ class TestMongoCsCluster:
         assert cluster.update(make_key(5), "field1", "b")
         assert cluster.read(make_key(5))["field1"] == "b"
         assert cluster.read(make_key(99)) is None
+
+
+class TestScanContract:
+    """Scans decode only the documents they return, and each mongod does
+    the same modelled work as a decoding scan (``ops`` and shared-lock
+    acquisitions are the values the decoding scan produced)."""
+
+    @staticmethod
+    def _loaded(cluster, docs):
+        """Insert ``docs`` keys in a scattered order; returns the documents
+        a scan must return, by key."""
+        shadow = {}
+        for i in range(docs):
+            j = i * 37 % docs
+            key = make_key(j)
+            cluster.insert(key, {"field0": f"v{j}"})
+            shadow[key] = {"_id": key, "field0": f"v{j}"}
+        return shadow
+
+    @staticmethod
+    def _lock_work(cluster):
+        return [(m.ops, m.lock.read_acquisitions) for m in cluster.shards]
+
+    def test_mongo_cs_broadcast(self, assert_scan_contract):
+        cluster = MongoCsCluster(shard_count=4)
+        assert_scan_contract(cluster, self._loaded(cluster, 200))
+        assert self._lock_work(cluster) == [(57, 7)] * 4
+
+    def test_mongo_cs_elastic_with_strays(self, assert_scan_contract):
+        cluster = MongoCsCluster(shard_count=2, elastic=True, seed=7)
+        shadow = self._loaded(cluster, 120)
+        engine = cluster.attach_reshard(throttle=1.0)
+        cluster.scale_to(3, now=0.0)
+        engine.run_to_completion(0.0)
+        assert cluster._pending_cleanup  # no tick yet: the strays remain
+        assert_scan_contract(cluster, shadow)
+        assert self._lock_work(cluster) == [(95, 32), (74, 17), (77, 7)]
+
+    def test_mongo_as_chunk_scan(self, assert_scan_contract):
+        cluster = MongoAsCluster(shard_count=4, max_chunk_docs=10_000,
+                                 mongos_count=2)
+        cluster.pre_split([make_key(i * 25) for i in range(1, 8)])
+        assert_scan_contract(cluster, self._loaded(cluster, 200))
+        assert self._lock_work(cluster) == [(53, 3), (52, 2), (53, 3), (55, 5)]
 
 
 class TestMongosCaching:

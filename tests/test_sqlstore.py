@@ -186,6 +186,9 @@ class TestSqlServerNode:
             node.insert(make_key(i), {"f": str(i)})
         rows = node.scan(make_key(2), 3)
         assert [r["f"] for r in rows] == ["2", "5", "7"]
+        entries = node.scan_entries(make_key(2), 3)  # the same, encoded
+        assert rows == [{**decode_row(data), "_key": key}
+                        for key, data in entries]
 
     def test_wal_grows_and_checkpoint_resets(self):
         node = SqlServerNode(checkpoint_interval_ops=50)
@@ -238,6 +241,47 @@ class TestSqlCsCluster:
         rows = cluster.scan(make_key(50), 10)
         assert [r["_key"] for r in rows] == [make_key(i) for i in range(50, 60)]
         assert cluster.shards_touched_by_scan(make_key(50), 10) == 4
+
+
+class TestScanContract:
+    """Broadcast scans decode only the rows they return, and every node runs
+    the same scan transaction as a decoding scan: buffer-pool hits and
+    misses and WAL record counts are the values the decoding scan
+    produced."""
+
+    @staticmethod
+    def _loaded(cluster, rows):
+        """Insert ``rows`` 400-byte rows in a scattered key order; returns
+        the rows a scan must return, by key."""
+        shadow = {}
+        for i in range(rows):
+            j = i * 37 % rows
+            key = make_key(j)
+            cluster.insert(key, {"field0": f"{j:04d}" * 100})
+            shadow[key] = {"field0": f"{j:04d}" * 100, "_key": key}
+        return shadow
+
+    @staticmethod
+    def _node_work(cluster):
+        return [(s.pool.hits, s.pool.misses, s.wal.record_count)
+                for s in cluster.shards]
+
+    def test_broadcast(self, assert_scan_contract):
+        cluster = SqlCsCluster(shard_count=4, pool_pages=2)
+        assert_scan_contract(cluster, self._loaded(cluster, 200))
+        assert self._node_work(cluster) == [
+            (104, 22, 164), (105, 22, 164), (102, 24, 164), (91, 35, 164)]
+
+    def test_elastic_with_strays(self, assert_scan_contract):
+        cluster = SqlCsCluster(shard_count=2, pool_pages=2, elastic=True)
+        shadow = self._loaded(cluster, 120)
+        engine = cluster.attach_reshard(throttle=1.0)
+        cluster.scale_to(3, now=0.0)
+        engine.run_to_completion(0.0)
+        assert cluster._pending_cleanup  # no tick yet: the strays remain
+        assert_scan_contract(cluster, shadow)
+        assert self._node_work(cluster) == [
+            (111, 34, 253), (89, 23, 205), (76, 2, 189)]
 
 
 class TestBlockingLocksOption:
