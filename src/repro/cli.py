@@ -14,6 +14,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.common.envelope import write_report
@@ -45,6 +46,19 @@ def _parse_whatif_for(spec: str, family: str, context: str) -> dict:
             f"{context}; applicable: {applicable}"
         )
     return scales
+
+
+def _output_path(path: str) -> str:
+    """The argparse ``type`` of every output-path flag (``-`` is stdout).
+
+    The file's directory must exist when the command line is parsed, so a
+    mistyped path fails before the run it was meant to record, not after.
+    """
+    parent = os.path.dirname(path) or "."
+    if path != "-" and not os.path.isdir(parent):
+        raise ConfigurationError(
+            f"cannot write {path}: no such directory {parent!r}")
+    return path
 
 
 def _require_query(number: int, what: str) -> None:
@@ -862,12 +876,19 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_hiveql(args) -> int:
-    from repro.hive.hiveql import execute
+    from repro.common.errors import PlanError
+    from repro.hive.hiveql import compile_plan, parse
+    from repro.relational.operators import run
     from repro.tpch.dbgen import DbGen
 
     _require_positive(args.sf, "--sf")
-    db = DbGen(scale_factor=args.sf, seed=args.seed).generate()
-    rows = execute(args.sql, db)
+    try:
+        # Parsed and planned first: malformed SQL fails before any data exists.
+        plan = compile_plan(parse(args.sql))
+        db = DbGen(scale_factor=args.sf, seed=args.seed).generate()
+        rows = run(plan, db)
+    except PlanError as exc:
+        raise ConfigurationError(str(exc)) from exc
     for row in rows[: args.limit]:
         print(row)
     print(f"({len(rows)} row(s))")
@@ -895,14 +916,14 @@ def _add_profile_flags(sub_parser) -> None:
         help="profile the run itself (wall-clock stack sampler + exact "
              "subsystem counters) and print the repro-prof/1 summary")
     sub_parser.add_argument(
-        "--profile-report", metavar="PATH",
+        "--profile-report", metavar="PATH", type=_output_path,
         help="write the repro-prof/1 JSON (implies --profile)")
     sub_parser.add_argument(
-        "--profile-speedscope", metavar="PATH",
+        "--profile-speedscope", metavar="PATH", type=_output_path,
         help="write sampled stacks as a speedscope.app document "
              "(implies --profile)")
     sub_parser.add_argument(
-        "--profile-folded", metavar="PATH",
+        "--profile-folded", metavar="PATH", type=_output_path,
         help="write folded stacks for flamegraph.pl (implies --profile)")
 
 
@@ -917,7 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "repro-prof/1, or repro-live/1 — both the same "
                              "kind) and attribute the regression; prints a "
                              "repro-compare/1 table")
-    parser.add_argument("--compare-report", metavar="PATH",
+    parser.add_argument("--compare-report", metavar="PATH", type=_output_path,
                         help="write the repro-compare/1 JSON "
                              "(requires --compare)")
     sub = parser.add_subparsers(dest="command", required=False)
@@ -925,9 +946,9 @@ def build_parser() -> argparse.ArgumentParser:
     dss = sub.add_parser("dss", help="run the TPC-H study (Tables 2-5, Fig 1)")
     dss.add_argument("--calibration-sf", type=float, default=0.01)
     dss.add_argument("--seed", type=int, default=42)
-    dss.add_argument("--trace", metavar="PATH",
+    dss.add_argument("--trace", metavar="PATH", type=_output_path,
                      help="trace one query; write Chrome trace-event JSON")
-    dss.add_argument("--metrics", metavar="PATH",
+    dss.add_argument("--metrics", metavar="PATH", type=_output_path,
                      help="trace one query; write the metrics snapshot JSON")
     dss.add_argument("--timeline", action="store_true",
                      help="trace one query; print an ASCII timeline")
@@ -938,23 +959,25 @@ def build_parser() -> argparse.ArgumentParser:
     dss.add_argument("--engine", default="hive", choices=["hive", "pdw"],
                      help="engine to trace (default hive)")
     dss.add_argument("--utilization", metavar="PATH", nargs="?", const="-",
+                     type=_output_path,
                      help="sample per-resource utilization for the traced "
                           "query; write series CSV to PATH, or print the "
                           "sparkline heatmap when no PATH is given")
     dss.add_argument("--bottlenecks", action="store_true",
                      help="print the per-phase bottleneck attribution report")
     dss.add_argument("--critical-path", metavar="PATH", nargs="?", const="-",
+                     type=_output_path,
                      help="trace one query; print its critical path and "
                           "slack, or also write repro-critpath/1 JSON to PATH")
     dss.add_argument("--whatif", metavar="SPEC",
                      help="replay the traced query with mechanisms scaled, "
                           "e.g. 'map-startup=0' or 'shuffle=0.5x,dms=0'")
-    dss.add_argument("--whatif-report", metavar="PATH",
+    dss.add_argument("--whatif-report", metavar="PATH", type=_output_path,
                      help="write the repro-whatif/1 JSON (requires --whatif)")
     dss.add_argument("--decompose", metavar="QUERIES",
                      help="fit fixed-vs-variable overhead across all SFs for "
                           "a comma-separated query list, e.g. '1,22'")
-    dss.add_argument("--decompose-report", metavar="PATH",
+    dss.add_argument("--decompose-report", metavar="PATH", type=_output_path,
                      help="write the repro-decompose/1 JSON "
                           "(requires --decompose)")
     dss.add_argument("--faults", metavar="PLAN",
@@ -962,7 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "Hive vs PDW recovery; PLAN is "
                           "'kind:target@at[+dur][xmag];...' "
                           "(e.g. 'crash:n3@0.5' or 'straggler:n2@0.3x4')")
-    dss.add_argument("--fault-report", metavar="PATH",
+    dss.add_argument("--fault-report", metavar="PATH", type=_output_path,
                      help="write the healthy-vs-faulted comparison JSON")
     _add_profile_flags(dss)
     dss.set_defaults(func=_cmd_dss)
@@ -975,9 +998,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oltp.add_argument("--ascii", action="store_true",
                       help="also draw ASCII latency/throughput plots")
-    oltp.add_argument("--trace", metavar="PATH",
+    oltp.add_argument("--trace", metavar="PATH", type=_output_path,
                       help="event-simulate one point; write Chrome trace JSON")
-    oltp.add_argument("--metrics", metavar="PATH",
+    oltp.add_argument("--metrics", metavar="PATH", type=_output_path,
                       help="event-simulate one point; write metrics JSON")
     oltp.add_argument("--timeline", action="store_true",
                       help="event-simulate one point; print an ASCII timeline")
@@ -990,6 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="simulated seconds for the traced point")
     oltp.add_argument("--seed", type=int, default=1234)
     oltp.add_argument("--utilization", metavar="PATH", nargs="?", const="-",
+                      type=_output_path,
                       help="sample per-station utilization for the traced "
                            "point; write series CSV to PATH, or print the "
                            "sparkline heatmap when no PATH is given")
@@ -998,13 +1022,14 @@ def build_parser() -> argparse.ArgumentParser:
                            "(MVA utilizations, lock rows vs the paper's "
                            "25-45%% mongostat band)")
     oltp.add_argument("--critical-path", metavar="PATH", nargs="?", const="-",
+                      type=_output_path,
                       help="event-simulate one point; print the slowest "
                            "request's critical path, or also write "
                            "repro-critpath/1 JSON to PATH")
     oltp.add_argument("--whatif", metavar="SPEC",
                       help="replay the traced point with mechanisms scaled, "
                            "e.g. 'lock-wait=0.5x' or 'disk=0,backoff=0'")
-    oltp.add_argument("--whatif-report", metavar="PATH",
+    oltp.add_argument("--whatif-report", metavar="PATH", type=_output_path,
                       help="write the repro-whatif/1 JSON (requires --whatif)")
     oltp.add_argument("--faults", metavar="PLAN",
                       help="inject faults and compare healthy vs faulted: "
@@ -1012,7 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "functional cluster with retry/backoff, station "
                            "faults ('disk-stall:disk@20+10x8') run the event "
                            "simulator")
-    oltp.add_argument("--fault-report", metavar="PATH",
+    oltp.add_argument("--fault-report", metavar="PATH", type=_output_path,
                       help="write the healthy-vs-faulted comparison JSON")
     oltp.add_argument("--replication", metavar="SPEC",
                       help="run functional clusters with HA: replica sets "
@@ -1031,6 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
     oltp.add_argument("--operations", type=int, default=500,
                       help="ops per chaos run (default 500)")
     oltp.add_argument("--availability-report", metavar="PATH",
+                      type=_output_path,
                       help="write the repro-availability/1 JSON "
                            "(implies --chaos)")
     oltp.add_argument("--reshard", metavar="SPEC", nargs="?",
@@ -1042,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "fault specs; composes with --chaos and "
                            "--write-concern; exits 0 only if no acked "
                            "write is lost across a migration")
-    oltp.add_argument("--reshard-report", metavar="PATH",
+    oltp.add_argument("--reshard-report", metavar="PATH", type=_output_path,
                       help="write the repro-reshard/1 JSON "
                            "(implies --reshard)")
     oltp.add_argument("--reshard-throttle", type=float, default=0.5,
@@ -1050,6 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="migration copy duty cycle in (0, 1] "
                            "(default 0.5)")
     oltp.add_argument("--live-report", metavar="PATH", nargs="?", const="-",
+                      type=_output_path,
                       help="watch one chaos run live — windowed latency "
                            "digests, online burn-rate SLO alerts, ASCII "
                            "dashboard (repro-live/1); bare flag prints "
@@ -1079,7 +1106,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "holds); composes with --faults (shard plans run "
                            "the functional breaker cell), --chaos, "
                            "--frontier, and --live-report")
-    oltp.add_argument("--overload-report", metavar="PATH",
+    oltp.add_argument("--overload-report", metavar="PATH", type=_output_path,
                       help="write the repro-overload/1 JSON "
                            "(implies --overload)")
     oltp.add_argument("--frontier", action="store_true",
@@ -1088,7 +1115,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "sustained throughput with coordinated-omission-"
                            "correct p99 under --slo-ms); composes with "
                            "--faults, --write-concern, and --metrics")
-    oltp.add_argument("--frontier-report", metavar="PATH",
+    oltp.add_argument("--frontier-report", metavar="PATH", type=_output_path,
                       help="write the repro-frontier/1 JSON "
                            "(implies --frontier)")
     oltp.add_argument("--slo-ms", type=float, default=250.0,
@@ -1148,8 +1175,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             if args.compare:
                 return _cmd_compare(args)

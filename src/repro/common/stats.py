@@ -10,6 +10,19 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from functools import reduce
+from operator import add
+
+
+def fold_sum(values: Iterable[float]) -> float:
+    """Left-to-right sum from int 0, rounding after every addition.
+
+    This is what the builtin ``sum`` computes up to Python 3.11.  From 3.12
+    it sums floats with compensation, which changes the last bits of some
+    totals, and the benchmark's golden fingerprints hold the uncompensated
+    bytes; every float sum that reaches an output goes through here.
+    """
+    return reduce(add, values, 0)
 
 
 def arithmetic_mean(values: Iterable[float]) -> float:
@@ -17,7 +30,7 @@ def arithmetic_mean(values: Iterable[float]) -> float:
     items = list(values)
     if not items:
         raise ValueError("arithmetic_mean of empty sequence")
-    return sum(items) / len(items)
+    return fold_sum(items) / len(items)
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -27,7 +40,7 @@ def geometric_mean(values: Iterable[float]) -> float:
         raise ValueError("geometric_mean of empty sequence")
     if any(v <= 0 for v in items):
         raise ValueError("geometric_mean requires strictly positive values")
-    return math.exp(sum(math.log(v) for v in items) / len(items))
+    return math.exp(fold_sum(math.log(v) for v in items) / len(items))
 
 
 def std_deviation(values: Iterable[float]) -> float:
@@ -36,7 +49,7 @@ def std_deviation(values: Iterable[float]) -> float:
     if len(items) < 2:
         return 0.0
     mean = arithmetic_mean(items)
-    variance = sum((v - mean) ** 2 for v in items) / (len(items) - 1)
+    variance = fold_sum((v - mean) ** 2 for v in items) / (len(items) - 1)
     return math.sqrt(variance)
 
 
@@ -92,8 +105,8 @@ def harmonic_number(n: int, s: float = 1.0) -> float:
     if n <= 0:
         raise ValueError("harmonic_number requires n >= 1")
     if n <= 10_000:
-        return sum(1.0 / i**s for i in range(1, n + 1))
-    head = sum(1.0 / i**s for i in range(1, 10_001))
+        return fold_sum(1.0 / i**s for i in range(1, n + 1))
+    head = fold_sum(1.0 / i**s for i in range(1, 10_001))
     # Integral approximation of the tail plus second-order correction.
     if abs(s - 1.0) < 1e-12:
         tail = math.log(n) - math.log(10_000)

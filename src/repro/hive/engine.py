@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ConfigurationError, PlanError
+from repro.common.stats import fold_sum
 from repro.hdfs.filesystem import DEFAULT_BLOCK_SIZE
 from repro.hive.metastore import Metastore
 from repro.mapreduce.jobs import (
@@ -48,7 +49,7 @@ class HiveQueryResult:
 
     @property
     def total_time(self) -> float:
-        return sum(j.total_time for j in self.jobs)
+        return fold_sum(j.total_time for j in self.jobs)
 
     def job(self, name: str) -> JobResult:
         for j in self.jobs:

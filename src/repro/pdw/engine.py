@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError, PlanError
+from repro.common.stats import fold_sum
 from repro.common.units import GB
 from repro.pdw.catalog import REPLICATED, distribution_of
 from repro.simcluster.profile import HardwareProfile, paper_testbed
@@ -71,7 +72,7 @@ class PdwQueryResult:
 
     @property
     def total_time(self) -> float:
-        return self.plan_overhead + sum(
+        return self.plan_overhead + fold_sum(
             s.elapsed(self.step_overhead) for s in self.steps
         )
 

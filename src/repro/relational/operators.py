@@ -10,11 +10,14 @@ volumes).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from repro.common.errors import PlanError
-from repro.relational.expressions import Expr, _wrap
+from repro.common.stats import fold_sum
+from repro.relational.expressions import Col, Expr, _wrap, reading, row_loop
 from repro.relational.schema import Database, estimate_row_width
 
 
@@ -56,6 +59,20 @@ class Operator:
     def _execute(self, ctx: ExecutionContext) -> list[dict]:
         raise NotImplementedError
 
+    _loop = None
+
+    def _run_loop(self, rows: list[dict], outputs: Optional[dict],
+                  predicate: Optional[Expr]) -> list[dict]:
+        """Run this operator's generated row loop (see ``row_loop``).
+
+        The loop is compiled at the first execute, not at construction: the
+        optimizer sets some operator fields after building the operator.
+        """
+        if self._loop is None:
+            self._loop = row_loop(outputs, predicate)
+        with reading(rows):
+            return self._loop(rows)
+
 
 class Scan(Operator):
     """Full scan of a base table, optionally filtering and projecting inline."""
@@ -74,15 +91,10 @@ class Scan(Operator):
 
     def _execute(self, ctx: ExecutionContext) -> list[dict]:
         rows = ctx.db.table(self.table).rows
-        if self.predicate is not None:
-            pred = self.predicate
-            rows = [r for r in rows if pred.eval(r)]
-        if self.columns is not None:
-            cols = self.columns
-            rows = [{c: r[c] for c in cols} for r in rows]
-        else:
-            rows = list(rows)
-        return rows
+        if self.predicate is None and self.columns is None:
+            return list(rows)
+        outputs = None if self.columns is None else {c: Col(c) for c in self.columns}
+        return self._run_loop(rows, outputs, self.predicate)
 
 
 class Rows(Operator):
@@ -97,14 +109,15 @@ class Rows(Operator):
 
 
 class Filter(Operator):
+    """Keep the child's rows for which the predicate holds."""
+
     def __init__(self, child: Operator, predicate: Expr, tag: Optional[str] = None):
         self.child = child
         self.predicate = predicate
         self.tag = tag
 
     def _execute(self, ctx: ExecutionContext) -> list[dict]:
-        pred = self.predicate
-        return [r for r in self.child.execute(ctx) if pred.eval(r)]
+        return self._run_loop(self.child.execute(ctx), None, self.predicate)
 
 
 class Project(Operator):
@@ -116,16 +129,10 @@ class Project(Operator):
         self.tag = tag
 
     def _execute(self, ctx: ExecutionContext) -> list[dict]:
-        outputs = self.outputs
-        return [
-            {name: expr.eval(row) for name, expr in outputs.items()}
-            for row in self.child.execute(ctx)
-        ]
+        return self._run_loop(self.child.execute(ctx), self.outputs, None)
 
 
 def _as_expr(spec) -> Expr:
-    from repro.relational.expressions import Col
-
     if isinstance(spec, Expr):
         return spec
     if isinstance(spec, str):
@@ -166,28 +173,38 @@ class HashJoin(Operator):
     def _execute(self, ctx: ExecutionContext) -> list[dict]:
         left_rows = self.left.execute(ctx)
         right_rows = self.right.execute(ctx)
-        rkeys = self.right_keys
-        table: dict[tuple, list[dict]] = {}
-        for row in right_rows:
-            table.setdefault(tuple(row[k] for k in rkeys), []).append(row)
+        with reading(left_rows, right_rows):
+            return self._join(left_rows, right_rows)
 
-        lkeys = self.left_keys
-        out: list[dict] = []
+    def _join(self, left_rows: list[dict], right_rows: list[dict]) -> list[dict]:
+        # One key column gives a scalar key, several a tuple: either way keys
+        # are equal exactly when the key columns' values are.
+        lkey = itemgetter(*self.left_keys)
+        rkey = itemgetter(*self.right_keys)
         if self.how == "semi":
-            return [r for r in left_rows if tuple(r[k] for k in lkeys) in table]
+            keys = set(map(rkey, right_rows))
+            return [r for r in left_rows if lkey(r) in keys]
         if self.how == "anti":
-            return [r for r in left_rows if tuple(r[k] for k in lkeys) not in table]
+            keys = set(map(rkey, right_rows))
+            return [r for r in left_rows if lkey(r) not in keys]
+
+        table: defaultdict = defaultdict(list)
+        for row in right_rows:
+            table[rkey(row)].append(row)
+        get = table.get
+        if self.how == "inner":
+            return [{**match, **row} for row in left_rows
+                    for match in get(lkey(row), ())]
 
         right_cols: list[str] = []
-        if self.how == "left" and right_rows:
-            right_cols = [c for c in right_rows[0] if c not in set(lkeys)]
+        if right_rows:
+            right_cols = [c for c in right_rows[0] if c not in set(self.left_keys)]
+        out: list[dict] = []
         for row in left_rows:
-            matches = table.get(tuple(row[k] for k in lkeys))
+            matches = get(lkey(row))
             if matches:
-                for match in matches:
-                    merged = {**match, **row}
-                    out.append(merged)
-            elif self.how == "left":
+                out.extend({**match, **row} for match in matches)
+            else:
                 merged = dict(row)
                 for c in right_cols:
                     merged.setdefault(c, None)
@@ -227,39 +244,49 @@ class Aggregate(Operator):
 
     def _execute(self, ctx: ExecutionContext) -> list[dict]:
         rows = self.child.execute(ctx)
-        keys = self.keys
-        groups: dict[tuple, list[dict]] = {}
-        for row in rows:
-            groups.setdefault(tuple(row[k] for k in keys), []).append(row)
-        if not keys and not groups:
-            groups[()] = []  # global aggregate over empty input still emits one row
+        with reading(rows):
+            return self._aggregate(rows)
 
+    def _aggregate(self, rows: list[dict]) -> list[dict]:
+        keys = self.keys
+        if not keys:
+            # A global aggregate emits one row, over empty input too.
+            groups = {(): rows}
+        else:
+            groups = defaultdict(list)
+            key = itemgetter(*keys)
+            for row in rows:
+                groups[key(row)].append(row)
+
+        aggs = [(name, agg.func,
+                 None if agg.expr is None else agg.expr.compiled())
+                for name, agg in self.aggs.items()]
         out = []
         for key, members in groups.items():
-            result = dict(zip(keys, key))
-            for name, agg in self.aggs.items():
-                result[name] = _apply_agg(agg, members)
+            result = {keys[0]: key} if len(keys) == 1 else dict(zip(keys, key))
+            for name, func, fn in aggs:
+                result[name] = _apply_agg(func, fn, members)
             out.append(result)
         return out
 
 
-def _apply_agg(agg: Agg, rows: list[dict]):
-    if agg.func == "count":
+def _apply_agg(func: str, fn, rows: list[dict]):
+    if func == "count":
         return len(rows)
-    values = [agg.expr.eval(r) for r in rows]
-    if agg.func == "count_distinct":
+    values = list(map(fn, rows))
+    if func == "count_distinct":
         return len(set(values))
     if not values:
         return None
-    if agg.func == "sum":
-        return sum(values)
-    if agg.func == "avg":
-        return sum(values) / len(values)
-    if agg.func == "min":
+    if func == "sum":
+        return fold_sum(values)
+    if func == "avg":
+        return fold_sum(values) / len(values)
+    if func == "min":
         return min(values)
-    if agg.func == "max":
+    if func == "max":
         return max(values)
-    raise PlanError(f"unhandled aggregate {agg.func}")
+    raise PlanError(f"unhandled aggregate {func}")
 
 
 class Sort(Operator):
@@ -272,13 +299,16 @@ class Sort(Operator):
 
     def _execute(self, ctx: ExecutionContext) -> list[dict]:
         rows = self.child.execute(ctx)
-        # Stable sort applied from the least-significant key backwards.
-        for expr, desc in reversed(self.keys):
-            rows = sorted(rows, key=lambda r, e=expr: e.eval(r), reverse=desc)
+        with reading(rows):
+            # Stable sort applied from the least-significant key backwards.
+            for expr, desc in reversed(self.keys):
+                rows = sorted(rows, key=expr.compiled(), reverse=desc)
         return rows
 
 
 class Limit(Operator):
+    """Keep the child's first ``n`` rows."""
+
     def __init__(self, child: Operator, n: int, tag: Optional[str] = None):
         if n < 0:
             raise PlanError("LIMIT must be non-negative")
@@ -299,14 +329,21 @@ class Distinct(Operator):
         self.tag = tag
 
     def _execute(self, ctx: ExecutionContext) -> list[dict]:
+        rows = self.child.execute(ctx)
+        cols = self.columns
+        if cols is None:  # whole rows, keyed on their values by column name
+            keys = [tuple(row[c] for c in sorted(row)) for row in rows]
+        elif not cols:
+            return rows[:1]  # every row has the same, empty key
+        else:
+            with reading(rows):
+                keys = list(map(itemgetter(*cols), rows))
         seen = set()
         out = []
-        for row in self.child.execute(ctx):
-            cols = self.columns if self.columns is not None else sorted(row)
-            key = tuple(row[c] for c in cols)
+        for key, row in zip(keys, rows):
             if key not in seen:
                 seen.add(key)
-                out.append({c: row[c] for c in cols} if self.columns else row)
+                out.append(row if cols is None else {c: row[c] for c in cols})
         return out
 
 

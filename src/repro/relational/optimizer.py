@@ -167,8 +167,8 @@ def optimize(plan: Operator) -> Operator:
 
 
 class _AlwaysTrue(Expr):
-    def eval(self, row: dict) -> bool:
-        return True
+    def source(self, env: dict) -> str:
+        return "True"
 
     def __repr__(self) -> str:
         return "TRUE"

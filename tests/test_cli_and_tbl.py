@@ -91,7 +91,8 @@ class TestCli:
     @staticmethod
     def _usage_error(capsys, argv):
         assert main(argv) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""  # refused before the run prints anything
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
         return err
@@ -117,6 +118,26 @@ class TestCli:
                                                 capsys):
         path = str(tmp_path / "no_such_dir" / "out")
         assert "cannot write" in self._usage_error(capsys, [*command, flag, path])
+
+    @pytest.mark.parametrize("sql", [
+        "select $ from nation",
+        "select n_nope from nation",
+        "select n_name from nation join region on n_nope = r_regionkey",
+        "select count(*) from nation group by n_nope",
+    ])
+    def test_bad_hiveql_is_a_usage_error(self, sql, capsys):
+        self._usage_error(capsys, ["hiveql", sql, "--sf", "0.001"])
+
+    def test_malformed_hiveql_fails_before_generating_data(self, capsys,
+                                                           monkeypatch):
+        from repro.tpch.dbgen import DbGen
+
+        def refuse(self):
+            raise AssertionError("generated data for malformed SQL")
+
+        monkeypatch.setattr(DbGen, "generate", refuse)
+        err = self._usage_error(capsys, ["hiveql", "select $ from nation"])
+        assert "cannot tokenize" in err
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

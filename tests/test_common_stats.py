@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.common.stats import (
     arithmetic_mean,
+    fold_sum,
     geometric_mean,
     harmonic_number,
     percentile,
@@ -49,6 +50,17 @@ class TestMeans:
                     253, 392, 154, 444, 460, 654, 786, 376, 606, 1431, 908]
         assert round(arithmetic_mean(hive_250)) == 605
         assert round(geometric_mean(hive_250)) == 474
+
+
+class TestFoldSum:
+    def test_rounds_after_every_addition(self):
+        # Compensated summation (the builtin sum from Python 3.12) gives 1.0.
+        assert fold_sum([1e16, 1.0, -1e16]) == 0.0
+
+    def test_starts_from_int_zero(self):
+        assert fold_sum([]) == 0 and type(fold_sum([])) is int
+        assert fold_sum(iter([1, 2, 3])) == 6
+        assert fold_sum([0.1, 0.2, 0.3]) == (0.1 + 0.2) + 0.3
 
 
 class TestDispersion:

@@ -1,11 +1,29 @@
 """Tests for the expression AST."""
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import PlanError
-from repro.relational.expressions import CaseWhen, case, col, date_add, lit
+from repro.hive.hiveql import execute
+from repro.relational import Column, Database, Project, Rows, Schema, TableData, run
+from repro.relational.expressions import (
+    BinOp,
+    CaseWhen,
+    Col,
+    InList,
+    LikeOp,
+    Lit,
+    NotOp,
+    Substr,
+    YearOf,
+    case,
+    col,
+    date_add,
+    lit,
+)
 
 
 class TestBasicOps:
@@ -94,3 +112,146 @@ class TestDateAdd:
     def test_days_roundtrip_ordering(self, days):
         later = date_add("1992-01-01", days=days)
         assert later >= "1992-01-01"  # ISO strings order chronologically
+
+
+# -- the compiled kernel against a tree-walking reference ------------------------
+
+_REFERENCE_OPS = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge, "+": operator.add, "-": operator.sub,
+    "*": operator.mul, "/": operator.truediv,
+}
+
+
+def reference(expr, row):
+    """Evaluate by walking the tree, one node at a time."""
+    if isinstance(expr, Col):
+        return row[expr.name]
+    if isinstance(expr, Lit):
+        return expr.value
+    if isinstance(expr, BinOp):
+        if expr.op == "and":
+            return bool(reference(expr.left, row)) and bool(reference(expr.right, row))
+        if expr.op == "or":
+            return bool(reference(expr.left, row)) or bool(reference(expr.right, row))
+        return _REFERENCE_OPS[expr.op](reference(expr.left, row),
+                                       reference(expr.right, row))
+    if isinstance(expr, NotOp):
+        return not bool(reference(expr.inner, row))
+    if isinstance(expr, LikeOp):
+        return bool(expr._compiled.match(str(reference(expr.inner, row))))
+    if isinstance(expr, InList):
+        return reference(expr.inner, row) in expr.values
+    if isinstance(expr, Substr):
+        value = str(reference(expr.inner, row))
+        return value[expr.start - 1 : expr.start - 1 + expr.length]
+    if isinstance(expr, YearOf):
+        return int(str(reference(expr.inner, row))[:4])
+    if isinstance(expr, CaseWhen):
+        for cond, value in expr.branches:
+            if reference(cond, row):
+                return reference(value, row)
+        return reference(expr.default, row)
+    raise TypeError(f"no reference for {type(expr).__name__}")
+
+
+def _outcome(evaluate):
+    """A value with its type, or the type of the exception raised."""
+    try:
+        value = evaluate()
+    except Exception as exc:  # the two evaluators must fail alike
+        return ("raised", type(exc))
+    return ("value", type(value), repr(value))
+
+
+_SCALARS = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.floats(min_value=-10, max_value=10, allow_nan=False),
+    st.sampled_from(["", "a%b", "1995-03-15", "PROMO x", "ab"]),
+)
+_LEAVES = st.one_of(
+    st.builds(Col, st.sampled_from(["i", "f", "s", "d"])),
+    st.builds(Lit, _SCALARS),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(BinOp, st.sampled_from(sorted(_REFERENCE_OPS) + ["and", "or"]),
+                  children, children),
+        st.builds(NotOp, children),
+        st.builds(LikeOp, children, st.text(alphabet="ab%_.1-", max_size=4)),
+        st.builds(InList, children, st.lists(_SCALARS, max_size=3).map(tuple)),
+        st.builds(Substr, children, st.integers(1, 4), st.integers(0, 3)),
+        st.builds(YearOf, children),
+        st.builds(lambda branches, default: CaseWhen(branches, default),
+                  st.lists(st.tuples(children, children), min_size=1, max_size=2),
+                  children),
+    )
+
+
+_ROWS = st.fixed_dictionaries({
+    "i": st.integers(min_value=-5, max_value=5),
+    "f": st.floats(min_value=-10, max_value=10, allow_nan=False),
+    "s": st.sampled_from(["", "ab", "PROMO a", "a.b", "1994-01-01"]),
+    "d": st.sampled_from(["1995-03-15", "1998-12-01"]),
+})
+
+
+class TestCompiledKernel:
+    @given(st.recursive(_LEAVES, _extend, max_leaves=10), _ROWS)
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_matches_reference(self, expr, row):
+        assert _outcome(lambda: expr.eval(row)) == _outcome(
+            lambda: reference(expr, row))
+
+    def test_node_compiles_once(self):
+        expr = col("a") + lit(1)
+        assert expr.compiled() is expr.compiled()
+        assert expr.eval({"a": 1}) == 2
+
+    def test_long_and_or_chains_compile_flat(self):
+        expr = col("a") > lit(0)
+        for i in range(500):
+            expr = expr & (col("a") > lit(i - 10))
+        assert expr.eval({"a": 5}) is False
+        assert (expr | (col("a") == lit(5))).eval({"a": 5}) is True
+
+    def test_too_deep_nesting_is_a_plan_error(self):
+        expr = col("a")
+        for _ in range(300):
+            expr = expr + lit(1)
+        with pytest.raises(PlanError, match="nests too deeply"):
+            expr.eval({"a": 1})
+
+    def test_unknown_operator_is_rejected(self):
+        with pytest.raises(PlanError):
+            BinOp("or __import__('os') or", col("a"), lit(1))
+
+
+class TestSourceInjection:
+    """Names and literals reach generated code as data, never as source."""
+
+    WEIRD_NAME = "a'b\"c\\d\ne"
+    PAYLOAD = "') or __import__('os') or ('"
+
+    def test_column_name_is_data(self):
+        row = {self.WEIRD_NAME: 42, "a": 1}
+        assert col(self.WEIRD_NAME).eval(row) == 42
+        rows = run(Project(Rows([row]), {self.WEIRD_NAME: col(self.WEIRD_NAME)}),
+                   Database())
+        assert rows == [{self.WEIRD_NAME: 42}]
+
+    def test_literal_is_data(self):
+        assert lit(self.PAYLOAD).eval({}) == self.PAYLOAD
+        assert (col("x") == lit(self.PAYLOAD)).eval({"x": self.PAYLOAD}) is True
+        assert col("x").in_([self.PAYLOAD]).eval({"x": self.PAYLOAD}) is True
+        assert col("x").like(self.PAYLOAD).eval({"x": self.PAYLOAD}) is True
+
+    def test_hiveql_string_literal_is_data(self):
+        db = Database()
+        db.add(TableData("t", Schema.of(Column.str_("s", 40)),
+                         [{"s": self.PAYLOAD}, {"s": "plain"}]))
+        quoted = "'" + self.PAYLOAD.replace("'", "''") + "'"
+        assert execute(f"SELECT s FROM t WHERE s = {quoted}", db) == [
+            {"s": self.PAYLOAD}]

@@ -190,6 +190,25 @@ class TestSortLimitDistinct:
         assert [r["v"] for r in rows] == sorted(values)
 
 
+class TestMissingColumn:
+    """Every operator reports a column its input lacks as a PlanError."""
+
+    @pytest.mark.parametrize("plan", [
+        Scan("orders", columns=["o_id", "o_nope"]),
+        HashJoin(Scan("orders"), Scan("customers"), ["o_nope"], ["c_id"]),
+        Aggregate(Scan("orders"), keys=["o_nope"], aggs={"n": Agg("count")}),
+        Distinct(Scan("orders"), columns=["o_nope"]),
+        Filter(Scan("orders"), col("o_nope") > lit(1)),
+        Project(Scan("orders"), {"x": col("o_nope") * lit(2)}),
+        Sort(Scan("orders"), [("o_nope", False)]),
+        Aggregate(Scan("orders"), keys=[], aggs={"s": Agg("sum", col("o_nope"))}),
+    ], ids=["scan-columns", "join-key", "group-key", "distinct", "predicate",
+            "projection", "sort-key", "aggregate-input"])
+    def test_missing_column_is_a_plan_error(self, plan):
+        with pytest.raises(PlanError, match=r"no column 'o_nope'; has \[.*'o_id'"):
+            run(plan, make_db())
+
+
 class TestTagsAndStats:
     def test_tagged_operator_records_stats(self):
         db = make_db()
