@@ -1,6 +1,6 @@
 """MongoDB 1.8 model: BSON, mongod, chunks/balancer, and the two clusters."""
 
-from repro.docstore.bson import decode, encode, encoded_size
+from repro.docstore.bson import decode, encode, encoded_size, with_field
 from repro.docstore.chunks import Balancer, Chunk, ConfigServer
 from repro.docstore.cluster import (
     DEFAULT_COLLECTION,
@@ -19,6 +19,7 @@ __all__ = [
     "decode",
     "encode",
     "encoded_size",
+    "with_field",
     "Balancer",
     "Chunk",
     "ConfigServer",

@@ -9,7 +9,9 @@ Section 3.4.2 — which avoids paying chunk-migration costs mid-load).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from repro.common.errors import (
@@ -40,9 +42,31 @@ class Chunk:
         return True
 
 
+_low = attrgetter("low")
+
+
+def covering_index(chunks: list[Chunk], key: str) -> int:
+    """Index of the chunk covering ``key`` in a key-ordered partition of
+    the key space (a chunk table), or -1 when none does.
+
+    Bisects on the chunk lows, skipping a leading ``low=None`` (-inf), and
+    confirms the result with :meth:`Chunk.contains`.
+    """
+    first = 1 if chunks and chunks[0].low is None else 0
+    index = bisect_right(chunks, key, first, key=_low) - 1
+    if index >= 0 and chunks[index].contains(key):
+        return index
+    return -1
+
+
 @dataclass
 class ConfigServer:
     """The cluster's chunk table plus change counters.
+
+    The table is always a key-ordered partition of the key space:
+    :meth:`bootstrap`, :meth:`pre_split` and :meth:`split_chunk` are its
+    only writers, and a migration changes only a chunk's ``shard``.  So a
+    key's chunk is found by bisection (:func:`covering_index`).
 
     ``version`` is the chunk-metadata epoch: every split or migration bumps
     it, and a mongos holding an older epoch must refresh before routing
@@ -77,15 +101,16 @@ class ConfigServer:
             self.chunks.append(Chunk(low=low, high=high, shard=i % shard_count))
 
     def chunk_for(self, key: str) -> Chunk:
-        for chunk in self.chunks:
-            if chunk.contains(key):
-                return chunk
-        raise ShardingError(f"no chunk covers key {key!r}")
+        index = covering_index(self.chunks, key)
+        if index < 0:
+            raise ShardingError(f"no chunk covers key {key!r}")
+        return self.chunks[index]
 
     def chunks_from(self, key: str) -> list[Chunk]:
-        """Chunks covering [key, +inf), in key order (for range scans)."""
-        out = [c for c in self.chunks if c.high is None or c.high > key]
-        return sorted(out, key=lambda c: (c.low is not None, c.low))
+        """Chunks covering [key, +inf), in key order (for range scans):
+        the table from the chunk covering ``key`` on."""
+        index = covering_index(self.chunks, key)
+        return self.chunks[index:] if index >= 0 else []
 
     def split_chunk(self, chunk: Chunk, at_key: str) -> tuple[Chunk, Chunk]:
         """Split one chunk at a key; both halves stay on the same shard.
@@ -280,10 +305,8 @@ class MongosRouter:
         return self._cached_version != self._config.version
 
     def _lookup(self, key: str) -> Optional[Chunk]:
-        for chunk in self._cached_chunks:
-            if chunk.contains(key):
-                return chunk
-        return None
+        index = covering_index(self._cached_chunks, key)
+        return self._cached_chunks[index] if index >= 0 else None
 
     def route(self, key: str) -> Chunk:
         """Resolve the chunk for a key, refreshing a stale cache first.

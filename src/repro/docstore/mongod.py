@@ -77,15 +77,14 @@ class Collection:
         return bson.decode(data) if data is not None else None
 
     def update_field(self, key, fieldname: str, value) -> bool:
+        """Set one field by rewriting it in the stored bytes
+        (:func:`bson.with_field`); no value is decoded."""
         data = self._index.get(key)
         if data is None:
             return False
-        document = bson.decode(data)
-        self.bytes_stored -= len(data)
-        document[fieldname] = value
-        new_data = bson.encode(document)
+        new_data = bson.with_field(data, fieldname, value)
         self._index.insert(key, new_data)
-        self.bytes_stored += len(new_data)
+        self.bytes_stored += len(new_data) - len(data)
         return True
 
     def scan_entries(self, start_key, count: int) -> list[tuple]:

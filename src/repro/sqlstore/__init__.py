@@ -3,7 +3,14 @@
 from repro.sqlstore.bufferpool import BufferPool
 from repro.sqlstore.cluster import SqlCsCluster
 from repro.sqlstore.locks import IsolationLevel, LockManager, LockMode
-from repro.sqlstore.pages import PAGE_SIZE, Page, PageManager, decode_row, encode_row
+from repro.sqlstore.pages import (
+    PAGE_SIZE,
+    Page,
+    PageManager,
+    decode_row,
+    encode_row,
+    row_with_field,
+)
 from repro.sqlstore.server import SqlServerNode
 from repro.sqlstore.wal import LogOp, LogRecord, WriteAheadLog
 
@@ -18,6 +25,7 @@ __all__ = [
     "PageManager",
     "decode_row",
     "encode_row",
+    "row_with_field",
     "SqlServerNode",
     "LogOp",
     "LogRecord",

@@ -3,7 +3,8 @@
 SQL Server reads and writes 8 KB pages — the unit the paper contrasts with
 MongoDB's 32 KB reads in workload C.  Rows are serialized with a compact
 length-prefixed codec so page occupancy is real (a 1 KB YCSB record fits
-7 rows to a page, which matches the paper's I/O arithmetic).
+7 rows to a page, which matches the paper's I/O arithmetic).  Every codec
+error is a :class:`StorageError`.
 """
 
 from __future__ import annotations
@@ -15,33 +16,103 @@ from repro.common.errors import StorageError
 PAGE_SIZE = 8192
 PAGE_HEADER = 96  # slot directory + header, as in SQL Server
 
+_COUNT = struct.Struct("<H")
+_COLUMN = struct.Struct("<HI")  # name length, value length
+_pack_column = _COLUMN.pack
+_unpack_column = _COLUMN.unpack_from
+
+
+def _not_a_string(value) -> StorageError:
+    return StorageError(f"sqlstore rows are all-string; got {type(value)}")
+
+
+def _unencodable(exc: Exception) -> StorageError:
+    return StorageError(f"cannot encode row: {exc}")
+
+
+def _malformed(exc: Exception) -> StorageError:
+    return StorageError(f"malformed row: {exc}")
+
+
+def _overrun(pos: int, size: int) -> StorageError:
+    return StorageError(f"row columns end at byte {pos} of {size}")
+
 
 def encode_row(row: dict) -> bytes:
-    """Length-prefixed (name, value) string pairs."""
-    parts = [struct.pack("<H", len(row))]
-    for name, value in row.items():
-        if not isinstance(value, str):
-            raise StorageError(f"sqlstore rows are all-string; got {type(value)}")
-        nraw = name.encode("utf-8")
-        vraw = value.encode("utf-8")
-        parts.append(struct.pack("<HI", len(nraw), len(vraw)))
-        parts.append(nraw)
-        parts.append(vraw)
+    """Length-prefixed (name, value) string pairs: a ``<H`` column count,
+    then per column a ``<HI`` header (name and value byte lengths), the
+    UTF-8 name and the UTF-8 value."""
+    try:
+        parts = [_COUNT.pack(len(row))]
+        extend = parts.extend
+        for name, value in row.items():
+            if not isinstance(value, str):
+                raise _not_a_string(value)
+            nraw = name.encode()
+            vraw = value.encode()
+            extend((_pack_column(len(nraw), len(vraw)), nraw, vraw))
+    except (struct.error, AttributeError, UnicodeEncodeError) as exc:
+        raise _unencodable(exc) from None
     return b"".join(parts)
 
 
 def decode_row(data: bytes) -> dict:
-    (count,) = struct.unpack_from("<H", data, 0)
-    pos = 2
+    """The row :func:`encode_row` wrote; the columns must end exactly at
+    the end of ``data``."""
     row = {}
-    for _ in range(count):
-        nlen, vlen = struct.unpack_from("<HI", data, pos)
-        pos += 6
-        name = data[pos : pos + nlen].decode("utf-8")
-        pos += nlen
-        row[name] = data[pos : pos + vlen].decode("utf-8")
-        pos += vlen
+    pos = 2
+    try:
+        (count,) = _COUNT.unpack_from(data, 0)
+        for _ in range(count):
+            nlen, vlen = _unpack_column(data, pos)
+            start = pos + 6
+            mid = start + nlen
+            pos = mid + vlen
+            row[data[start:mid].decode()] = data[mid:pos].decode()
+    except (struct.error, ValueError) as exc:
+        raise _malformed(exc) from None
+    if pos != len(data):
+        raise _overrun(pos, len(data))
     return row
+
+
+def row_with_field(data: bytes, name: str, value: str) -> bytes:
+    """``encode_row({**decode_row(data), name: value})`` for any ``data``
+    that :func:`encode_row` produced, without decoding a column.
+
+    Walks only the column headers, then splices the re-encoded column in
+    place of the one named ``name`` — or appends it and bumps the column
+    count when the name is absent, as dict assignment does.
+    """
+    if not isinstance(value, str):
+        raise _not_a_string(value)
+    try:
+        nraw = name.encode()
+        vraw = value.encode()
+        column = _pack_column(len(nraw), len(vraw)) + nraw + vraw
+    except (struct.error, AttributeError, UnicodeEncodeError) as exc:
+        raise _unencodable(exc) from None
+    width = len(nraw)
+    start = None
+    pos = 2
+    try:
+        (count,) = _COUNT.unpack_from(data, 0)
+        for _ in range(count):
+            nlen, vlen = _unpack_column(data, pos)
+            head = pos
+            pos += 6 + nlen + vlen
+            if start is None and nlen == width and data.startswith(nraw, head + 6):
+                start, after = head, pos
+    except struct.error as exc:
+        raise _malformed(exc) from None
+    if pos != len(data):
+        raise _overrun(pos, len(data))
+    if start is not None:
+        return b"".join((data[:start], column, data[after:]))
+    try:
+        return b"".join((_COUNT.pack(count + 1), data[2:], column))
+    except struct.error as exc:
+        raise _unencodable(exc) from None
 
 
 class Page:

@@ -19,7 +19,13 @@ from repro.common.errors import (
 )
 from repro.sqlstore.bufferpool import BufferPool
 from repro.sqlstore.locks import IsolationLevel, LockManager, LockMode
-from repro.sqlstore.pages import PAGE_SIZE, PageManager, decode_row, encode_row
+from repro.sqlstore.pages import (
+    PAGE_SIZE,
+    PageManager,
+    decode_row,
+    encode_row,
+    row_with_field,
+)
 from repro.sqlstore.wal import LogOp, WriteAheadLog
 
 DEFAULT_POOL_PAGES = 4096  # scaled-down functional default (32 MB)
@@ -217,9 +223,7 @@ class SqlServerNode:
             self._access(page_id, dirty=True)
             page = self.pages.get(page_id)
             before = page.get(key)
-            row = decode_row(before)
-            row[fieldname] = value
-            after = encode_row(row)
+            after = row_with_field(before, fieldname, value)
             page.put(key, after)
             self.wal.append(txid, LogOp.UPDATE, key=key, before=before, after=after)
             return True

@@ -1,10 +1,17 @@
 """Tests for BSON, mongod, chunks/balancer, and the two Mongo clusters."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import ShardUnavailable, ShardingError, StorageError
+from repro.common.errors import (
+    ShardUnavailable,
+    ShardingError,
+    StaleConfigError,
+    StorageError,
+)
 from repro.docstore import (
     ConfigServer,
     GlobalLock,
@@ -13,7 +20,41 @@ from repro.docstore import (
     MongoCsCluster,
 )
 from repro.docstore import bson
+from repro.docstore.chunks import MongosRouter, covering_index
+from repro.sqlstore import (
+    SqlCsCluster,
+    decode_row,
+    encode_row,
+    row_with_field,
+)
 from repro.ycsb.workloads import make_key
+
+_NAMES = st.text(max_size=8).filter(lambda s: "\x00" not in s)
+#: Every type the codec stores, nested documents and int64 included.
+_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-(2**31), max_value=2**31 - 1),
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        st.floats(),
+        st.text(max_size=20),
+    ),
+    lambda inner: st.dictionaries(_NAMES, inner, max_size=3),
+    max_leaves=6,
+)
+_DOCUMENTS = st.dictionaries(_NAMES, _VALUES, max_size=6)
+_ROWS = st.dictionaries(st.text(max_size=8), st.text(max_size=40), max_size=6)
+
+
+def _mutants(good: bytes, mask: int) -> list[bytes]:
+    """Every truncation of ``good`` and, at every position, the byte
+    flipped by ``mask`` and replaced by 0x00, 0x01, 0x7f and 0xff."""
+    out = [good[:i] for i in range(len(good))]
+    for i, byte in enumerate(good):
+        for new in {byte ^ mask, 0x00, 0x01, 0x7F, 0xFF} - {byte}:
+            out.append(good[:i] + bytes([new]) + good[i + 1:])
+    return out
 
 
 class TestBson:
@@ -63,6 +104,103 @@ class TestBson:
     @settings(max_examples=50)
     def test_roundtrip_property(self, doc):
         assert bson.decode(bson.encode(doc)) == doc
+
+    def test_refuses_nul_in_field_name(self):
+        """decode would stop the name at the NUL and misread the rest."""
+        for value in (1, "x", None):
+            with pytest.raises(StorageError, match=r"'a\\x00b'"):
+                bson.encode({"a\x00b": value})
+        with pytest.raises(StorageError, match=r"'a\\x00b'"):
+            bson.with_field(bson.encode({"a": 1}), "a\x00b", 1)
+
+    def test_refuses_integers_beyond_int64(self):
+        for value in (2**70, 2**63, -(2**63) - 1):
+            with pytest.raises(StorageError, match="int64"):
+                bson.encode({"a": value})
+        edges = {"hi": 2**63 - 1, "lo": -(2**63)}
+        assert bson.decode(bson.encode(edges)) == edges
+
+    def test_refuses_string_running_past_the_frame(self):
+        data = bytearray(bson.encode({"a": "hello", "b": 1}))
+        assert len(data) == 25
+        data[7:11] = struct.pack("<i", 200)
+        with pytest.raises(StorageError):
+            bson.decode(bytes(data))
+
+    def test_refuses_string_without_terminator(self):
+        data = bytearray(bson.encode({"a": "hello", "b": 1}))
+        data[16] = ord("!")  # the NUL ending "hello"
+        with pytest.raises(StorageError, match="does not end in NUL"):
+            bson.decode(bytes(data))
+        with pytest.raises(StorageError):
+            bson.with_field(bytes(data), "b", 2)
+
+    def test_refuses_elements_not_ending_on_the_trailing_nul(self):
+        # A null element whose name runs into the trailing NUL.
+        with pytest.raises(StorageError, match="trailing NUL"):
+            bson.decode(struct.pack("<i", 10) + b"\x0aabcd\x00")
+        # An int32 element whose value overlaps the trailing NUL.
+        with pytest.raises(StorageError):
+            bson.decode(struct.pack("<i", 10) + b"\x10a\x00\x01\x00\x00")
+
+    def test_refuses_invalid_utf8_name(self):
+        with pytest.raises(StorageError):
+            bson.decode(struct.pack("<i", 8) + b"\x0a\xff\x00\x00")
+
+
+class TestCodecFuzz:
+    @given(_DOCUMENTS, _ROWS, st.binary(max_size=48), st.integers(1, 255))
+    @settings(max_examples=40, deadline=None)
+    def test_codecs_raise_only_storage_error(self, doc, row, noise, mask):
+        """Random bytes (bare and inside a sound BSON frame), every
+        truncation of a valid encoding and every single-byte change of one:
+        decode, with_field, decode_row and row_with_field each return a
+        value or raise StorageError, nothing else."""
+        framed = struct.pack("<i", len(noise) + 5) + noise + b"\x00"
+        calls = (
+            (bson.decode,),
+            (bson.with_field, next(iter(doc), "field0"), "x"),
+            (bson.with_field, "new", 7),
+            (decode_row,),
+            (row_with_field, next(iter(row), "field0"), "x"),
+            (row_with_field, "new", "y"),
+        )
+        for candidate in [noise, framed, *_mutants(bson.encode(doc), mask),
+                          *_mutants(encode_row(row), mask)]:
+            for call, *args in calls:
+                try:
+                    call(candidate, *args)
+                except StorageError:
+                    pass
+
+
+class TestWithField:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reencoding(self, data):
+        """An existing or a new name, and a value that may change the
+        field's type: the same bytes as decode, set, encode."""
+        doc = data.draw(_DOCUMENTS)
+        names = st.sampled_from(sorted(doc)) | _NAMES if doc else _NAMES
+        name = data.draw(names)
+        value = data.draw(_VALUES)
+        assert (bson.with_field(bson.encode(doc), name, value)
+                == bson.encode({**doc, name: value}))
+
+    def test_splices_in_place_and_appends_new_names(self):
+        doc = {"_id": "k", "a": "xyz", "b": 1}
+        data = bson.encode(doc)
+        assert bson.decode(bson.with_field(data, "a", 2**40)) == {
+            "_id": "k", "a": 2**40, "b": 1}
+        assert list(bson.decode(bson.with_field(data, "c", {"n": None}))) == [
+            "_id", "a", "b", "c"]
+
+    def test_refuses_unencodable_values(self):
+        data = bson.encode({"a": 1})
+        with pytest.raises(StorageError):
+            bson.with_field(data, "a", [1, 2])
+        with pytest.raises(StorageError):
+            bson.with_field(data, "a", 2**64)
 
 
 class TestGlobalLock:
@@ -123,6 +261,17 @@ class TestMongod:
         m = Mongod("m0")
         m.insert("c", {"_id": "k", "field": "x" * 100})
         assert m.bytes_stored > 100
+
+    def test_refused_update_keeps_document_and_bytes(self):
+        m = Mongod("m0")
+        m.insert("c", {"_id": "k", "field": "x"})
+        stored = m.bytes_stored
+        with pytest.raises(StorageError):
+            m.update("c", "k", "field", [1, 2])
+        assert m.bytes_stored == stored
+        assert m.find_one("c", "k") == {"_id": "k", "field": "x"}
+        assert m.update("c", "k", "field", "yy")
+        assert m.bytes_stored == stored + 1
 
 
 class TestChunks:
@@ -377,3 +526,157 @@ class TestMongosCaching:
         refreshes = [r.refreshes for r in cluster.routers]
         assert len(cluster.routers) == 4
         assert all(r == 1 for r in refreshes)  # no splits -> no refreshes
+
+
+def _linear_chunk(chunks, key):
+    """The reference router: the first chunk containing ``key``."""
+    for chunk in chunks:
+        if chunk.contains(key):
+            return chunk
+    return None
+
+
+def _filtered_and_sorted(chunks, key):
+    """The reference ``chunks_from``: every chunk ending past ``key``, in
+    key order."""
+    out = [c for c in chunks if c.high is None or c.high > key]
+    return sorted(out, key=lambda c: (c.low is not None, c.low))
+
+
+def _bounds(chunk):
+    return None if chunk is None else (chunk.low, chunk.high, chunk.shard)
+
+
+_SHORT_KEYS = st.text(alphabet="abz", max_size=3)
+
+
+class TestChunkRouting:
+    """Routing bisects the key-ordered chunk table; a linear scan over the
+    same table is the reference."""
+
+    @given(st.lists(_SHORT_KEYS, unique=True, max_size=6),
+           st.lists(_SHORT_KEYS, max_size=10),
+           st.lists(_SHORT_KEYS, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_bisection_matches_linear_reference(self, boundaries, splits,
+                                                probes):
+        cfg = ConfigServer()
+        if boundaries:
+            cfg.pre_split(sorted(boundaries), shard_count=3)
+        else:
+            cfg.bootstrap(shard=1)
+        for key in splits:
+            try:
+                cfg.split_chunk(cfg.chunk_for(key), key)
+            except ShardingError:
+                pass  # a split at a chunk's lower bound is refused
+        router = MongosRouter(cfg)
+        keys = {"", "\uffff", *probes}
+        for chunk in cfg.chunks:
+            low = chunk.low
+            if low:  # below, equal to and above every boundary
+                keys |= {low, low[:-1], low + "a",
+                         low[:-1] + chr(ord(low[-1]) - 1)}
+        for key in sorted(keys):
+            expected = _linear_chunk(cfg.chunks, key)
+            assert expected is not None  # the table partitions the keys
+            assert cfg.chunks[covering_index(cfg.chunks, key)] is expected
+            assert cfg.chunk_for(key) is expected
+            assert _bounds(router.route(key)) == _bounds(expected)
+            assert ([id(c) for c in cfg.chunks_from(key)]
+                    == [id(c) for c in _filtered_and_sorted(cfg.chunks, key)])
+
+    def test_empty_table_raises_as_before(self):
+        cfg = ConfigServer()
+        assert covering_index(cfg.chunks, "a") == -1
+        with pytest.raises(ShardingError, match="no chunk covers"):
+            cfg.chunk_for("a")
+        assert cfg.chunks_from("a") == []
+        with pytest.raises(StaleConfigError):
+            MongosRouter(cfg).route("a")
+
+
+def _build(system):
+    if system == "mongo-as":
+        return MongoAsCluster(shard_count=3, max_chunk_docs=20,
+                              balancer_threshold=2, mongos_count=2)
+    if system == "mongo-cs":
+        return MongoCsCluster(shard_count=3)
+    return SqlCsCluster(shard_count=3, pool_pages=2)
+
+
+class TestUpdateContract:
+    """An update rewrites one field in the stored bytes: it decodes and
+    encodes nothing, and every mongod and SQL node does the modelled work
+    the decode-set-encode update did."""
+
+    @pytest.mark.parametrize("system", ["mongo-as", "mongo-cs", "sql-cs"])
+    def test_update_decodes_and_encodes_nothing(self, system, monkeypatch):
+        from repro.sqlstore import server
+
+        cluster = _build(system)
+        for i in range(60):
+            cluster.insert(make_key(i), {"field0": "a" * 100,
+                                         "field1": "b" * 100})
+        calls = []
+
+        def counting(module, name):
+            call = getattr(module, name)
+
+            def spy(*args):
+                calls.append(name)
+                return call(*args)
+            monkeypatch.setattr(module, name, spy)
+
+        for module, name in ((bson, "decode"), (bson, "encode"),
+                             (server, "decode_row"), (server, "encode_row")):
+            counting(module, name)
+        for i in range(60):  # field2 is new: the update appends it
+            assert cluster.update(make_key(i), f"field{i % 3}", f"new{i}")
+        assert not cluster.update(make_key(999), "field0", "x")
+        assert calls == []
+        monkeypatch.undo()
+        for i in range(60):
+            row = cluster.read(make_key(i))
+            assert row[f"field{i % 3}"] == f"new{i}"
+            assert len(row) == (3 if i % 3 == 2 else 2)
+
+    @staticmethod
+    def _drive(cluster, balance=False):
+        """A fixed sequence: 120 inserts of ~900-byte records in a
+        scattered order, then 240 alternating reads and updates over 130
+        keys (10 missing), a quarter of the updates adding a new field."""
+        for i in range(120):
+            j = i * 7 % 120
+            cluster.insert(make_key(j), {f"field{f}": f"v{j}-{f}".ljust(300, "x")
+                                         for f in range(3)})
+        if balance:
+            cluster.run_balancer()
+        for i in range(240):
+            key = make_key(i * 13 % 130)
+            if i % 2:
+                cluster.update(key, f"field{i % 4}", "u" * (i % 50))
+            else:
+                cluster.read(key)
+
+    def test_mongo_as_modelled_work(self):
+        cluster = _build("mongo-as")
+        self._drive(cluster, balance=True)
+        assert (cluster.config.splits, cluster.config.migrations) == (7, 5)
+        assert [(m.ops, m.lock.write_acquisitions, m.bytes_stored)
+                for m in cluster.shards] == [
+            (350, 235, 51392), (178, 106, 39871), (100, 100, 24962)]
+
+    def test_mongo_cs_modelled_work(self):
+        cluster = _build("mongo-cs")
+        self._drive(cluster)
+        assert [(m.ops, m.lock.write_acquisitions, m.bytes_stored)
+                for m in cluster.shards] == [
+            (163, 91, 41596), (161, 113, 39421), (36, 36, 35208)]
+
+    def test_sql_cs_modelled_work(self):
+        cluster = _build("sql-cs")
+        self._drive(cluster)
+        assert [(n.wal.record_count, n.wal.bytes_written, n.pool.hits,
+                 n.pool.misses) for n in cluster.shards] == [
+            (417, 123610, 61, 102), (435, 156860, 59, 102), (108, 38088, 31, 5)]

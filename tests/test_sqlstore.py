@@ -1,5 +1,7 @@
 """Tests for pages, buffer pool, WAL, locks, the server, and SQL-CS."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,10 +19,14 @@ from repro.sqlstore import (
     WriteAheadLog,
     decode_row,
     encode_row,
+    row_with_field,
 )
 from repro.sqlstore.wal import LogOp
 from repro.ycsb.workloads import make_key, make_record
 from repro.common.rng import TpchRandom64
+
+
+_ROWS = st.dictionaries(st.text(max_size=8), st.text(max_size=40), max_size=8)
 
 
 class TestRowCodec:
@@ -40,6 +46,45 @@ class TestRowCodec:
     @settings(max_examples=50)
     def test_roundtrip_property(self, row):
         assert decode_row(encode_row(row)) == row
+
+    def test_decode_refuses_truncated_row(self):
+        with pytest.raises(StorageError, match="end at byte 12 of 10"):
+            decode_row(encode_row({"a": "xyz"})[:-2])
+
+    def test_decode_refuses_empty_and_trailing_bytes(self):
+        with pytest.raises(StorageError):
+            decode_row(b"")
+        with pytest.raises(StorageError):
+            decode_row(encode_row({"a": "xyz"}) + b"!")
+
+    def test_decode_refuses_invalid_utf8(self):
+        with pytest.raises(StorageError):
+            decode_row(struct.pack("<HHI", 1, 1, 0) + b"\xff")
+
+    def test_encode_refuses_what_it_cannot_frame(self):
+        with pytest.raises(StorageError):
+            encode_row({"n" * 70_000: "x"})  # a name length is 16 bits
+        with pytest.raises(StorageError):
+            encode_row({1: "x"})
+        with pytest.raises(StorageError):
+            row_with_field(encode_row({"a": "x"}), "n" * 70_000, "x")
+
+
+class TestRowWithField:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reencoding(self, data):
+        row = data.draw(_ROWS)
+        names = st.text(max_size=8)
+        name = data.draw(st.sampled_from(sorted(row)) | names if row else names)
+        value = data.draw(st.text(max_size=40))
+        encoded = encode_row(row)
+        assert (row_with_field(encoded, name, value)
+                == encode_row({**decode_row(encoded), name: value}))
+
+    def test_refuses_non_strings_like_encode_row(self):
+        with pytest.raises(StorageError, match="all-string"):
+            row_with_field(encode_row({"a": "x"}), "a", 1)
 
 
 class TestPage:
