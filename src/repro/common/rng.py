@@ -88,8 +88,13 @@ class TpchRandom64:
     """The RANDOM64 fix: 64-bit generator that never overflows at 16 TB.
 
     Uses a splitmix64 core, which is deterministic, fast, and has no shared
-    state with Python's global ``random`` module.
+    state with Python's global ``random`` module.  Every draw is one
+    :meth:`next_raw` step: ``random_int``, ``choice`` and ``random_float``
+    advance the state inline, so each costs one Python frame and yields the
+    value ``next_raw`` would have given.
     """
+
+    __slots__ = ("_state",)
 
     def __init__(self, seed: int = 19620718):
         self._state = seed & _INT64_MASK
@@ -103,11 +108,14 @@ class TpchRandom64:
         return z ^ (z >> 31)
 
     def random_int(self, low: int, high: int) -> int:
-        """Uniform integer on [low, high]; exact for any 64-bit span."""
+        """Uniform integer on [low, high]: ``low + next_raw() % span``, exact
+        for any 64-bit span, with the step inlined."""
         if high < low:
             raise ValueError(f"empty range [{low}, {high}]")
-        span = high - low + 1
-        return low + self.next_raw() % span
+        z = self._state = (self._state + 0x9E3779B97F4A7C15) & _INT64_MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _INT64_MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _INT64_MASK
+        return low + (z ^ (z >> 31)) % (high - low + 1)
 
     def random_float(self) -> float:
         """Uniform float on [0, 1): ``next_raw() / 2**64``, step inlined."""
@@ -121,10 +129,14 @@ class TpchRandom64:
         return low + (high - low) * self.random_float()
 
     def choice(self, items):
-        """Pick one element of a non-empty sequence."""
+        """Pick one element of a non-empty sequence: the element
+        ``random_int(0, len(items) - 1)`` indexes, with the step inlined."""
         if not items:
             raise ValueError("cannot choose from an empty sequence")
-        return items[self.random_int(0, len(items) - 1)]
+        z = self._state = (self._state + 0x9E3779B97F4A7C15) & _INT64_MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _INT64_MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _INT64_MASK
+        return items[(z ^ (z >> 31)) % len(items)]
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""

@@ -10,6 +10,7 @@ task counts (one task per file, or per 256 MB block for bigger files).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.common.errors import ConfigurationError
@@ -25,7 +26,9 @@ class HiveTableLayout:
     partition_count: int = 1
     bucket_column: Optional[str] = None
     bucket_count: int = 1
-    # Fraction of bucket files that actually contain data (sparse keys).
+    # Below 1.0, the table is bucketed on TPC-H's sparse orderkeys and only
+    # the buckets they reach hold data (0.25 at 512 buckets); the sizes
+    # follow ``occupied_buckets``, not this declared fraction.
     nonempty_bucket_fraction: float = 1.0
 
     def __post_init__(self):
@@ -38,26 +41,33 @@ class HiveTableLayout:
     def file_count(self) -> int:
         return self.partition_count * self.bucket_count
 
+    @cached_property
+    def occupied_buckets(self) -> frozenset[int]:
+        """Bucket ids that hold data, computed once per layout on first use.
+
+        Every bucket of a dense layout; for a sparse-orderkey layout, the
+        buckets the first ``8 * bucket_count`` sparse keys hash to, which
+        is every bucket any key reaches (ids ≡ 1..8 mod 32 at 512 buckets).
+        """
+        if self.nonempty_bucket_fraction >= 1.0:
+            return frozenset(range(self.bucket_count))
+        return frozenset(orderkey_bucket(sparse_orderkey(i), self.bucket_count)
+                         for i in range(1, 8 * self.bucket_count + 1))
+
     def file_sizes(self, scale_factor: float, compression_ratio: float) -> list[float]:
         """Compressed size of every file, in physical (bucket-id) order.
 
         Empty bucket files appear as explicit zeros, interleaved the way the
         sparse orderkeys leave them (ids ≡ 1..8 mod 32 hold data) so the
-        map-task scheduler sees the same mix the paper's cluster saw.
+        map-task scheduler sees the same mix the paper's cluster saw.  The
+        non-empty files share the table's compressed bytes equally, so the
+        sizes add up to ``table_bytes * compression_ratio``.
         """
         total = table_bytes(self.name, scale_factor) * compression_ratio
-        nonempty = max(1, round(self.file_count * self.nonempty_bucket_fraction))
-        per_file = total / nonempty
-
-        if self.nonempty_bucket_fraction >= 1.0:
-            return [total / self.file_count] * self.file_count
-
-        # Sparse-orderkey tables: mark which bucket ids ever receive a key.
-        occupied = {orderkey_bucket(sparse_orderkey(i), self.bucket_count)
-                    for i in range(1, 8 * self.bucket_count + 1)}
-        sizes = []
-        for bucket_id in range(self.bucket_count):
-            sizes.append(per_file if bucket_id in occupied else 0.0)
+        occupied = self.occupied_buckets
+        per_file = total / (len(occupied) * self.partition_count)
+        sizes = [per_file if bucket_id in occupied else 0.0
+                 for bucket_id in range(self.bucket_count)]
         return sizes * self.partition_count
 
 

@@ -15,6 +15,9 @@ from repro.common.errors import StorageError
 
 PAGE_SIZE = 8192
 PAGE_HEADER = 96  # slot directory + header, as in SQL Server
+ROW_SLOT = 8  # slot-array entry per row
+# The largest row one page holds: an empty page less the row's slot.
+MAX_ROW_BYTES = PAGE_SIZE - PAGE_HEADER - ROW_SLOT
 
 _COUNT = struct.Struct("<H")
 _COLUMN = struct.Struct("<HI")  # name length, value length
@@ -124,16 +127,19 @@ class Page:
         self.used = PAGE_HEADER
         self.dirty = False
 
-    def fits(self, data: bytes) -> bool:
-        return self.used + len(data) + 8 <= PAGE_SIZE
+    def fits(self, data: bytes, replacing: bytes = b"") -> bool:
+        """Whether ``data`` (plus its slot) fits, once the row ``replacing``
+        is removed."""
+        return self.used - len(replacing) + len(data) + ROW_SLOT <= PAGE_SIZE
 
     def put(self, key: str, data: bytes) -> None:
-        if key in self.rows:
-            self.used -= len(self.rows[key])
-        elif not self.fits(data):
+        """Insert or overwrite a row; refuses, leaving the page unchanged,
+        when the row would not fit."""
+        old = self.rows.get(key, b"")
+        if not self.fits(data, old):
             raise StorageError(f"page {self.page_id} full")
         self.rows[key] = data
-        self.used += len(data)
+        self.used += len(data) - len(old)
         self.dirty = True
 
     def get(self, key: str) -> bytes | None:

@@ -20,6 +20,7 @@ from repro.common.errors import (
 from repro.sqlstore.bufferpool import BufferPool
 from repro.sqlstore.locks import IsolationLevel, LockManager, LockMode
 from repro.sqlstore.pages import (
+    MAX_ROW_BYTES,
     PAGE_SIZE,
     PageManager,
     decode_row,
@@ -184,7 +185,7 @@ class SqlServerNode:
         self._check_alive()
         txid = self._begin()
         data = encode_row(record)
-        if len(data) + 8 > PAGE_SIZE:
+        if len(data) > MAX_ROW_BYTES:
             raise StorageError("row larger than a page")
         self._acquire(txid, key, LockMode.EXCLUSIVE)
         if key in self.index:
@@ -224,7 +225,18 @@ class SqlServerNode:
             page = self.pages.get(page_id)
             before = page.get(key)
             after = row_with_field(before, fieldname, value)
-            page.put(key, after)
+            if len(after) > MAX_ROW_BYTES:
+                raise StorageError("row larger than a page")
+            if page.fits(after, before):
+                page.put(key, after)
+            else:
+                # The grown row no longer fits its page: move it to the
+                # insertion target and repoint the index.
+                page.delete(key)
+                page = self.pages.page_for_insert(after)
+                page.put(key, after)
+                self.index.insert(key, page.page_id)
+                self._access(page.page_id, dirty=True)
             self.wal.append(txid, LogOp.UPDATE, key=key, before=before, after=after)
             return True
         finally:

@@ -70,12 +70,13 @@ class DbGen:
     # -- text helpers ---------------------------------------------------------
 
     def _words(self, rng: TpchRandom64, low: int, high: int) -> str:
-        count = rng.random_int(low, high)
-        return " ".join(rng.choice(text.COMMENT_WORDS) for _ in range(count))
+        choice = rng.choice
+        words = text.COMMENT_WORDS
+        return " ".join([choice(words) for _ in range(rng.random_int(low, high))])
 
     def _address(self, rng: TpchRandom64) -> str:
-        length = rng.random_int(10, 40)
-        return "".join(rng.choice(_ALNUM) for _ in range(length)).strip()
+        choice = rng.choice
+        return "".join([choice(_ALNUM) for _ in range(rng.random_int(10, 40))]).strip()
 
     def _phone(self, rng: TpchRandom64, nationkey: int) -> str:
         return (

@@ -96,6 +96,100 @@ class TestTpchRandom64:
         assert min(counts) > 1500 and max(counts) < 2500
 
 
+class _NextRawReference:
+    """``TpchRandom64``'s draw contract spelled through ``next_raw``: every
+    draw is one splitmix64 step, and ``random_int``/``choice`` reduce it
+    modulo the span."""
+
+    def __init__(self, seed):
+        self.rng = TpchRandom64(seed)
+
+    def random_int(self, low, high):
+        if high < low:
+            raise ValueError("empty range")
+        return low + self.rng.next_raw() % (high - low + 1)
+
+    def choice(self, items):
+        if not items:
+            raise ValueError("empty sequence")
+        return items[self.random_int(0, len(items) - 1)]
+
+    def random_float(self):
+        return self.rng.next_raw() / 2**64
+
+    def shuffle(self, items):
+        for i in range(len(items) - 1, 0, -1):
+            j = self.random_int(0, i)
+            items[i], items[j] = items[j], items[i]
+
+    def skip(self, count):
+        for _ in range(count):
+            self.rng.next_raw()
+
+
+_DRAWS = st.lists(
+    st.one_of(
+        # Spans up to 2**64, negative lows, and empty ranges (width < 0).
+        st.tuples(st.just("random_int"), st.integers(-(2**64), 2**64),
+                  st.integers(-3, 2**64 - 1)),
+        st.tuples(st.just("choice"), st.lists(st.integers(), max_size=6)),
+        st.tuples(st.just("random_float")),
+        st.tuples(st.just("shuffle"), st.lists(st.integers(), max_size=8)),
+        st.tuples(st.just("skip"), st.integers(0, 5)),
+    ),
+    max_size=30,
+)
+
+
+def _draw(rng, op):
+    """Apply one drawn call; a refused call returns ``ValueError``."""
+    name, *args = op
+    try:
+        if name == "random_int":
+            low, width = args
+            return rng.random_int(low, low + width)
+        if name == "shuffle":
+            items = list(args[0])
+            rng.shuffle(items)
+            return items
+        return getattr(rng, name)(*args)
+    except ValueError:
+        return ValueError
+
+
+class TestDrawContract:
+    """The inlined splitmix64 steps keep ``next_raw``'s stream bit for bit."""
+
+    @given(st.integers(min_value=-(2**65), max_value=2**65), _DRAWS)
+    @settings(max_examples=300, deadline=None)
+    def test_interleaved_draws_match_next_raw_reference(self, seed, ops):
+        rng, reference = TpchRandom64(seed), _NextRawReference(seed)
+        for op in ops:
+            assert _draw(rng, op) == _draw(reference, op), op
+            assert rng._state == reference.rng._state
+
+    def test_refused_draws_raise_and_leave_the_stream(self):
+        rng = TpchRandom64(5)
+        with pytest.raises(ValueError):
+            rng.random_int(0, -1)
+        with pytest.raises(ValueError):
+            rng.choice([])
+        with pytest.raises(ValueError):
+            rng.choice("")
+        assert rng.next_raw() == TpchRandom64(5).next_raw()
+
+    def test_full_64_bit_span(self):
+        rng, twin = TpchRandom64(9), TpchRandom64(9)
+        assert rng.random_int(-(2**63), 2**63 - 1) == twin.next_raw() - 2**63
+
+    def test_state_is_the_only_slot(self):
+        rng = TpchRandom64(1)
+        assert TpchRandom64.__slots__ == ("_state",)
+        assert not hasattr(rng, "__dict__")
+        with pytest.raises(AttributeError):
+            rng.extra = 1
+
+
 class TestSeedStream:
     def test_stable_and_distinct(self):
         stream = SeedStream(42)

@@ -15,6 +15,7 @@ from repro.hive import (
     measure_compression_ratio,
     read_column,
 )
+from repro.tpch.schema import orderkey_bucket, sparse_orderkey, table_bytes
 from repro.tpch.volumes import calibrate
 
 
@@ -90,6 +91,31 @@ class TestRcFile:
         assert decoded == rows
 
 
+# Sparse-orderkey layouts, with and without partitions: the keys reach every
+# bucket at 8, 100 and 1,000 buckets, and a quarter of them at 64 and 512.
+_SPARSE_LAYOUTS = [
+    HiveTableLayout("orders", partition_count=partitions, bucket_count=buckets,
+                    nonempty_bucket_fraction=0.25)
+    for buckets in (8, 64, 100, 512, 1000)
+    for partitions in (1, 25)
+]
+
+
+def _reference_file_sizes(layout, sf, ratio):
+    """``file_sizes`` rebuilding the occupied-bucket set on every call,
+    with the non-empty files sized from that set's count."""
+    total = table_bytes(layout.name, sf) * ratio
+    if layout.nonempty_bucket_fraction >= 1.0:
+        return [total / layout.file_count] * layout.file_count
+    occupied = {orderkey_bucket(sparse_orderkey(i), layout.bucket_count)
+                for i in range(1, 8 * layout.bucket_count + 1)}
+    per_file = total / (len(occupied) * layout.partition_count)
+    sizes = []
+    for bucket_id in range(layout.bucket_count):
+        sizes.append(per_file if bucket_id in occupied else 0.0)
+    return sizes * layout.partition_count
+
+
 class TestMetastore:
     def test_table1_layouts(self):
         assert TPCH_LAYOUTS["lineitem"].bucket_count == 512
@@ -122,6 +148,49 @@ class TestMetastore:
         assert ms.buckets_compatible("lineitem", "orders")  # 512 vs 512
         assert ms.buckets_compatible("lineitem", "part")  # 512 vs 8
         assert ms.buckets_compatible("customer", "part")  # 8 vs 8
+
+    def test_file_sizes_match_the_rebuilding_reference(self):
+        for layout in [*TPCH_LAYOUTS.values(), *_SPARSE_LAYOUTS]:
+            for sf in (0.005, 1, 250, 16_000):
+                for ratio in (0.3, 0.38, 1.0):
+                    assert layout.file_sizes(sf, ratio) == _reference_file_sizes(
+                        layout, sf, ratio), (layout, sf, ratio)
+
+    def test_tpch_layouts_keep_the_rounded_fraction_sizing(self):
+        """Sizing by the occupied count gives TPC-H's layouts the very
+        floats ``round(file_count * nonempty_bucket_fraction)`` gave."""
+        for layout in TPCH_LAYOUTS.values():
+            assert len(layout.occupied_buckets) * layout.partition_count == max(
+                1, round(layout.file_count * layout.nonempty_bucket_fraction))
+
+    def test_occupied_buckets_are_built_once_per_layout(self, monkeypatch):
+        import repro.hive.metastore as metastore
+
+        calls = []
+
+        def spy(index):
+            calls.append(index)
+            return sparse_orderkey(index)
+
+        monkeypatch.setattr(metastore, "sparse_orderkey", spy)
+        layout = HiveTableLayout("lineitem", bucket_column="l_orderkey",
+                                 bucket_count=512, nonempty_bucket_fraction=0.25)
+        for sf in (0.005, 1, 250, 1000, 16_000) * 10:
+            assert sum(1 for size in layout.file_sizes(sf, 0.38) if size) == 128
+        assert 0 < len(calls) <= 8 * layout.bucket_count
+
+    @pytest.mark.parametrize("buckets", [8, 64, 100, 512, 1000])
+    @pytest.mark.parametrize("partitions", [1, 25])
+    def test_sparse_sizes_add_up_to_the_table(self, buckets, partitions):
+        layout = HiveTableLayout("orders", partition_count=partitions,
+                                 bucket_count=buckets, nonempty_bucket_fraction=0.25)
+        sizes = layout.file_sizes(250, 0.38)
+        assert len(sizes) == layout.file_count
+        assert sum(sizes) == pytest.approx(table_bytes("orders", 250) * 0.38, rel=1e-12)
+        nonempty = {size for size in sizes if size}
+        assert len(nonempty) == 1  # the non-empty files share equally
+        assert sizes.count(0.0) == (
+            (buckets - len(layout.occupied_buckets)) * partitions)
 
     def test_invalid_layout(self):
         with pytest.raises(ConfigurationError):

@@ -21,6 +21,7 @@ from repro.sqlstore import (
     encode_row,
     row_with_field,
 )
+from repro.sqlstore.pages import MAX_ROW_BYTES, PAGE_HEADER
 from repro.sqlstore.wal import LogOp
 from repro.ycsb.workloads import make_key, make_record
 from repro.common.rng import TpchRandom64
@@ -110,6 +111,20 @@ class TestPage:
         page = Page(0)
         with pytest.raises(StorageError):
             page.put("k", b"x" * PAGE_SIZE)
+
+    def test_overwrite_that_does_not_fit_is_refused(self):
+        page = Page(0)
+        page.put("a", b"a" * 4000)
+        page.put("b", b"b" * 3000)
+        page.dirty = False
+        used = page.used
+        with pytest.raises(StorageError):
+            page.put("b", b"B" * 4200)
+        assert (page.get("b"), page.used, page.dirty) == (b"b" * 3000, used, False)
+        page.put("b", b"B" * 4088)  # exactly fills the page, slot included
+        assert page.used + 8 == PAGE_SIZE and page.dirty
+        page.put("b", b"B" * 10)  # shrinking always fits
+        assert page.used == PAGE_HEADER + 4010
 
 
 class TestBufferPool:
@@ -265,6 +280,76 @@ class TestSqlServerNode:
             node.read(make_key(i))
         assert node.pool.misses > 0
         assert node.pool.hits > 0
+
+
+class TestGrowingUpdates:
+    """An update that grows a row past its page's free space moves it."""
+
+    def _node(self, rows=7):
+        node = SqlServerNode(pool_pages=64)
+        for i in range(rows):
+            node.insert(make_key(i), {"f": "x" * 1000})
+        assert node.pages.page_count == 1
+        return node
+
+    def test_grown_rows_move_and_every_page_fits(self):
+        node = self._node()
+        for i in range(7):
+            assert node.update(make_key(i), "f", "y" * 3000)
+        pages = list(node.pages._pages.values())
+        assert len(pages) > 1
+        assert all(page.used + 8 <= PAGE_SIZE for page in pages)
+        assert sum(page.row_count for page in pages) == node.row_count == 7
+        for i in range(7):
+            page_id = node.index.get(make_key(i))
+            assert make_key(i) in node.pages.get(page_id).rows
+            assert node.read(make_key(i)) == {"f": "y" * 3000}
+        assert [row["_key"] for row in node.scan(make_key(0), 10)] == [
+            make_key(i) for i in range(7)]
+
+    def test_move_writes_the_same_wal_images_and_dirties_the_new_page(self):
+        node = self._node()
+        before = node.pages.get(0).get(make_key(0))
+        assert node.update(make_key(0), "f", "y" * 3000)
+        record = [r for r in node.wal.records_since(0) if r.op is LogOp.UPDATE][-1]
+        assert record.before == before
+        assert record.after == row_with_field(before, "f", "y" * 3000)
+        new_page = node.index.get(make_key(0))
+        assert new_page != 0
+        assert node.pages.get(new_page).get(make_key(0)) == record.after
+        assert make_key(0) not in node.pages.get(0).rows
+        assert node.pool._resident[new_page] is True
+
+    # {"f": value} encodes to 9 + len(value) bytes: from one byte more than
+    # an empty page holds, through a row plus its slot filling a whole page,
+    # to more than a page.
+    @pytest.mark.parametrize("length", [MAX_ROW_BYTES + 1 - 9,
+                                        PAGE_SIZE - 8 - 9, PAGE_SIZE])
+    def test_row_larger_than_a_page_is_refused(self, length):
+        node = self._node(rows=2)
+        before = node.pages.get(0).get(make_key(1))
+        with pytest.raises(StorageError, match="larger than a page"):
+            node.update(make_key(1), "f", "z" * length)
+        with pytest.raises(StorageError, match="larger than a page"):
+            node.insert(make_key(9), {"f": "z" * length})
+        assert node.pages.get(0).get(make_key(1)) == before
+        assert node.read(make_key(1)) == {"f": "x" * 1000}
+        assert node.pages.page_count == 1
+        assert node.locks.active_locks == 0
+
+    def test_row_that_fills_an_empty_page_moves_there(self):
+        node = self._node(rows=2)
+        assert node.update(make_key(1), "f", "z" * (MAX_ROW_BYTES - 9))
+        page = node.pages.get(node.index.get(make_key(1)))
+        assert page.page_id == 1 and page.used + 8 == PAGE_SIZE
+        assert node.read(make_key(1)) == {"f": "z" * (MAX_ROW_BYTES - 9)}
+
+    def test_same_size_updates_stay_in_place(self):
+        node = self._node()
+        for i in range(7):
+            assert node.update(make_key(i), "f", "z" * 1000)
+        assert node.pages.page_count == 1
+        assert {node.index.get(make_key(i)) for i in range(7)} == {0}
 
 
 class TestSqlCsCluster:
