@@ -107,13 +107,7 @@ class Collection:
 
     def keys_in_range(self, low, high) -> list:
         """All keys in [low, high) — used when migrating a chunk off a shard."""
-        out = []
-        for key, _ in self._index.items():
-            if key >= high:
-                break
-            if key >= low:
-                out.append(key)
-        return out
+        return self._index.keys_in_range(low, high)
 
 
 class Mongod:

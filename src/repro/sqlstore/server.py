@@ -183,20 +183,21 @@ class SqlServerNode:
 
     def insert(self, key: str, record: dict[str, str]) -> None:
         self._check_alive()
-        txid = self._begin()
         data = encode_row(record)
         if len(data) > MAX_ROW_BYTES:
             raise StorageError("row larger than a page")
-        self._acquire(txid, key, LockMode.EXCLUSIVE)
-        if key in self.index:
-            self.locks.release_all(txid)
-            raise StorageError(f"duplicate key {key!r}")
-        page = self.pages.page_for_insert(data)
-        page.put(key, data)
-        self.index.insert(key, page.page_id)
-        self._access(page.page_id, dirty=True)
-        self.wal.append(txid, LogOp.INSERT, key=key, after=data)
-        self._commit(txid)
+        txid = self._begin()
+        try:
+            self._acquire(txid, key, LockMode.EXCLUSIVE)
+            if key in self.index:
+                raise StorageError(f"duplicate key {key!r}")
+            page = self.pages.page_for_insert(data)
+            page.put(key, data)
+            self.index.insert(key, page.page_id)
+            self._access(page.page_id, dirty=True)
+            self.wal.append(txid, LogOp.INSERT, key=key, after=data)
+        finally:
+            self._commit(txid)
 
     def read(self, key: str) -> Optional[dict[str, str]]:
         self._check_alive()
@@ -269,7 +270,7 @@ class SqlServerNode:
         engine's throttled copy batches.
         """
         self._check_alive()
-        return [k for k, _ in self.index.items() if low <= k < high]
+        return self.index.keys_in_range(low, high)
 
     def scan_entries(self, start_key: str, count: int) -> list[tuple[str, bytes]]:
         """A range scan as one transaction that leaves decoding to the

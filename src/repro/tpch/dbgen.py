@@ -11,13 +11,17 @@ Section 3.3.1 of the paper notes that stock dbgen's 32-bit RANDOM overflows
 at SF 16000; like the authors we generate keys with a 64-bit generator
 (:class:`~repro.common.rng.TpchRandom64`), and
 :func:`demonstrate_random_overflow` reproduces the original bug for tests.
+Each table draws its stream through :func:`~repro.common.rng.raw_draws`, a
+block at a time, and reduces every draw the way ``TpchRandom64`` does:
+``low + raw() % span`` for ``random_int(low, high)`` and
+``seq[raw() % len(seq)]`` for ``choice(seq)``.
 """
 
 from __future__ import annotations
 
 from datetime import date, timedelta
 
-from repro.common.rng import SeedStream, TpchRandom, TpchRandom64
+from repro.common.rng import SeedStream, TpchRandom, raw_draws
 from repro.relational.schema import Database, TableData
 from repro.tpch import text
 from repro.tpch.schema import SCHEMAS, row_count, sparse_orderkey
@@ -69,34 +73,34 @@ class DbGen:
 
     # -- text helpers ---------------------------------------------------------
 
-    def _words(self, rng: TpchRandom64, low: int, high: int) -> str:
-        choice = rng.choice
+    def _words(self, raw, low: int, high: int) -> str:
         words = text.COMMENT_WORDS
-        return " ".join([choice(words) for _ in range(rng.random_int(low, high))])
+        n = len(words)
+        return " ".join([words[raw() % n] for _ in range(low + raw() % (high - low + 1))])
 
-    def _address(self, rng: TpchRandom64) -> str:
-        choice = rng.choice
-        return "".join([choice(_ALNUM) for _ in range(rng.random_int(10, 40))]).strip()
+    def _address(self, raw) -> str:
+        n = len(_ALNUM)
+        return "".join([_ALNUM[raw() % n] for _ in range(10 + raw() % 31)]).strip()
 
-    def _phone(self, rng: TpchRandom64, nationkey: int) -> str:
+    def _phone(self, raw, nationkey: int) -> str:
         return (
-            f"{nationkey + 10:02d}-{rng.random_int(100, 999)}"
-            f"-{rng.random_int(100, 999)}-{rng.random_int(1000, 9999)}"
+            f"{nationkey + 10:02d}-{100 + raw() % 900}"
+            f"-{100 + raw() % 900}-{1000 + raw() % 9000}"
         )
 
     # -- fixed tables ----------------------------------------------------------
 
     def gen_region(self) -> TableData:
-        rng = self.seeds.rng_for("region")
+        raw = raw_draws(self.seeds.seed_for("region")).__next__
         table = TableData("region", SCHEMAS["region"])
         for key, name in enumerate(text.REGIONS):
             table.append(
-                {"r_regionkey": key, "r_name": name, "r_comment": self._words(rng, 3, 8)}
+                {"r_regionkey": key, "r_name": name, "r_comment": self._words(raw, 3, 8)}
             )
         return table
 
     def gen_nation(self) -> TableData:
-        rng = self.seeds.rng_for("nation")
+        raw = raw_draws(self.seeds.seed_for("nation")).__next__
         table = TableData("nation", SCHEMAS["nation"])
         for key, (name, regionkey) in enumerate(text.NATIONS):
             table.append(
@@ -104,7 +108,7 @@ class DbGen:
                     "n_nationkey": key,
                     "n_name": name,
                     "n_regionkey": regionkey,
-                    "n_comment": self._words(rng, 3, 8),
+                    "n_comment": self._words(raw, 3, 8),
                 }
             )
         return table
@@ -112,23 +116,24 @@ class DbGen:
     # -- scaling tables ----------------------------------------------------------
 
     def gen_supplier(self) -> TableData:
-        rng = self.seeds.rng_for("supplier")
+        raw = raw_draws(self.seeds.seed_for("supplier")).__next__
         table = TableData("supplier", SCHEMAS["supplier"])
+        suppliers = self.suppliers
         # The spec plants 5 "Customer ... Complaints" and 5 "Customer ...
         # Recommends" comments per 10,000 suppliers; at fractional scale we
         # keep at least one of each so Q16's anti-join stays exercised.
-        planted = max(1, round(self.suppliers * 5 / 10_000))
+        planted = max(1, round(suppliers * 5 / 10_000))
         complain = set()
         recommend = set()
         while len(complain) < planted:
-            complain.add(rng.random_int(1, self.suppliers))
+            complain.add(1 + raw() % suppliers)
         while len(recommend) < planted:
-            candidate = rng.random_int(1, self.suppliers)
+            candidate = 1 + raw() % suppliers
             if candidate not in complain:
                 recommend.add(candidate)
-        for key in range(1, self.suppliers + 1):
-            nationkey = rng.random_int(0, 24)
-            comment = self._words(rng, 5, 10)
+        for key in range(1, suppliers + 1):
+            nationkey = raw() % 25
+            comment = self._words(raw, 5, 10)
             if key in complain:
                 comment = f"{comment} Customer wishes Complaints {comment[:10]}"
             elif key in recommend:
@@ -137,63 +142,65 @@ class DbGen:
                 {
                     "s_suppkey": key,
                     "s_name": f"Supplier#{key:09d}",
-                    "s_address": self._address(rng),
+                    "s_address": self._address(raw),
                     "s_nationkey": nationkey,
-                    "s_phone": self._phone(rng, nationkey),
-                    "s_acctbal": rng.random_int(-99999, 999999) / 100.0,
+                    "s_phone": self._phone(raw, nationkey),
+                    "s_acctbal": (-99999 + raw() % 1_099_999) / 100.0,
                     "s_comment": comment,
                 }
             )
         return table
 
     def gen_customer(self) -> TableData:
-        rng = self.seeds.rng_for("customer")
+        raw = raw_draws(self.seeds.seed_for("customer")).__next__
         table = TableData("customer", SCHEMAS["customer"])
+        segments = text.SEGMENTS
         for key in range(1, self.customers + 1):
-            nationkey = rng.random_int(0, 24)
+            nationkey = raw() % 25
             table.append(
                 {
                     "c_custkey": key,
                     "c_name": f"Customer#{key:09d}",
-                    "c_address": self._address(rng),
+                    "c_address": self._address(raw),
                     "c_nationkey": nationkey,
-                    "c_phone": self._phone(rng, nationkey),
-                    "c_acctbal": rng.random_int(-99999, 999999) / 100.0,
-                    "c_mktsegment": rng.choice(text.SEGMENTS),
-                    "c_comment": self._words(rng, 6, 12),
+                    "c_phone": self._phone(raw, nationkey),
+                    "c_acctbal": (-99999 + raw() % 1_099_999) / 100.0,
+                    "c_mktsegment": segments[raw() % len(segments)],
+                    "c_comment": self._words(raw, 6, 12),
                 }
             )
         return table
 
     def gen_part(self) -> TableData:
-        rng = self.seeds.rng_for("part")
+        raw = raw_draws(self.seeds.seed_for("part")).__next__
         table = TableData("part", SCHEMAS["part"])
+        name_words = text.P_NAME_WORDS
         types = text.all_part_types()
         containers = text.all_containers()
         for key in range(1, self.parts + 1):
             words = []
             while len(words) < 5:
-                word = rng.choice(text.P_NAME_WORDS)
+                word = name_words[raw() % len(name_words)]
                 if word not in words:
                     words.append(word)
-            mfgr = rng.random_int(1, 5)
+            mfgr = 1 + raw() % 5
             table.append(
                 {
                     "p_partkey": key,
                     "p_name": " ".join(words),
                     "p_mfgr": f"Manufacturer#{mfgr}",
-                    "p_brand": f"Brand#{mfgr}{rng.random_int(1, 5)}",
-                    "p_type": rng.choice(types),
-                    "p_size": rng.random_int(1, 50),
-                    "p_container": rng.choice(containers),
+                    "p_brand": f"Brand#{mfgr}{1 + raw() % 5}",
+                    "p_type": types[raw() % len(types)],
+                    "p_size": 1 + raw() % 50,
+                    "p_container": containers[raw() % len(containers)],
                     "p_retailprice": retail_price(key),
-                    "p_comment": self._words(rng, 2, 5),
+                    "p_comment": self._words(raw, 2, 5),
                 }
             )
         return table
 
     def gen_partsupp(self) -> TableData:
-        rng = self.seeds.rng_for("partsupp")
+        raw = raw_draws(self.seeds.seed_for("partsupp")).__next__
         table = TableData("partsupp", SCHEMAS["partsupp"])
         for partkey in range(1, self.parts + 1):
             for slot in range(4):
@@ -201,52 +208,61 @@ class DbGen:
                     {
                         "ps_partkey": partkey,
                         "ps_suppkey": partsupp_suppkey(partkey, slot, self.suppliers),
-                        "ps_availqty": rng.random_int(1, 9999),
-                        "ps_supplycost": rng.random_int(100, 100_000) / 100.0,
-                        "ps_comment": self._words(rng, 10, 20),
+                        "ps_availqty": 1 + raw() % 9999,
+                        "ps_supplycost": (100 + raw() % 99_901) / 100.0,
+                        "ps_comment": self._words(raw, 10, 20),
                     }
                 )
         return table
 
     def gen_orders_and_lineitem(self) -> tuple[TableData, TableData]:
         """Orders and lineitem are generated together (shared dates/status)."""
-        rng = self.seeds.rng_for("orders")
+        if self.orders and not self.customers:
+            raise ValueError(
+                f"scale factor {self.scale_factor} places orders but has no customers")
+        raw = raw_draws(self.seeds.seed_for("orders")).__next__
         orders = TableData("orders", SCHEMAS["orders"])
         lineitem = TableData("lineitem", SCHEMAS["lineitem"])
+        customers = self.customers
+        parts = self.parts
+        suppliers = self.suppliers
         clerks = max(1, int(1000 * self.scale_factor))
+        instructions = text.INSTRUCTIONS
+        modes = text.MODES
+        priorities = text.PRIORITIES
         for index in range(1, self.orders + 1):
             orderkey = sparse_orderkey(index)
             # Only customers with custkey not divisible by 3 place orders.
             while True:
-                custkey = rng.random_int(1, self.customers)
+                custkey = 1 + raw() % customers
                 if custkey % 3 != 0:
                     break
-            date_offset = rng.random_int(0, _MAX_ORDERDATE_OFFSET)
+            date_offset = raw() % (_MAX_ORDERDATE_OFFSET + 1)
             orderdate = _DATES[date_offset]
 
             total = 0.0
             statuses = []
-            line_count = rng.random_int(1, 7)
+            line_count = 1 + raw() % 7
             for linenumber in range(1, line_count + 1):
-                partkey = rng.random_int(1, self.parts)
-                suppkey = partsupp_suppkey(partkey, rng.random_int(0, 3), self.suppliers)
-                quantity = float(rng.random_int(1, 50))
+                partkey = 1 + raw() % parts
+                suppkey = partsupp_suppkey(partkey, raw() % 4, suppliers)
+                quantity = float(1 + raw() % 50)
                 extended = quantity * retail_price(partkey)
-                discount = rng.random_int(0, 10) / 100.0
-                tax = rng.random_int(0, 8) / 100.0
-                ship_offset = date_offset + rng.random_int(1, 121)
-                commit_offset = date_offset + rng.random_int(30, 90)
-                receipt_offset = ship_offset + rng.random_int(1, 30)
+                discount = raw() % 11 / 100.0
+                tax = raw() % 9 / 100.0
+                ship_offset = date_offset + 1 + raw() % 121
+                commit_offset = date_offset + 30 + raw() % 61
+                receipt_offset = ship_offset + 1 + raw() % 30
                 shipdate = _DATES[ship_offset]
                 receiptdate = _DATES[receipt_offset]
                 if receiptdate <= CURRENT_DATE:
-                    returnflag = "R" if rng.random_int(0, 1) else "A"
+                    returnflag = "R" if raw() % 2 else "A"
                 else:
                     returnflag = "N"
                 linestatus = "O" if shipdate > CURRENT_DATE else "F"
                 statuses.append(linestatus)
                 total += extended * (1.0 + tax) * (1.0 - discount)
-                comment = self._words(rng, 2, 6)
+                comment = self._words(raw, 2, 6)
                 lineitem.append(
                     {
                         "l_orderkey": orderkey,
@@ -262,8 +278,8 @@ class DbGen:
                         "l_shipdate": shipdate,
                         "l_commitdate": _DATES[commit_offset],
                         "l_receiptdate": receiptdate,
-                        "l_shipinstruct": rng.choice(text.INSTRUCTIONS),
-                        "l_shipmode": rng.choice(text.MODES),
+                        "l_shipinstruct": instructions[raw() % len(instructions)],
+                        "l_shipmode": modes[raw() % len(modes)],
                         "l_comment": comment,
                     }
                 )
@@ -274,9 +290,9 @@ class DbGen:
                 orderstatus = "O"
             else:
                 orderstatus = "P"
-            comment = self._words(rng, 4, 10)
+            comment = self._words(raw, 4, 10)
             # Plant the Q13 needle at the spec's ~5% effective rate.
-            if rng.random_int(1, 100) <= 5:
+            if 1 + raw() % 100 <= 5:
                 comment = f"{comment} special handling requests {comment[:8]}"
             orders.append(
                 {
@@ -285,8 +301,8 @@ class DbGen:
                     "o_orderstatus": orderstatus,
                     "o_totalprice": round(total, 2),
                     "o_orderdate": orderdate,
-                    "o_orderpriority": rng.choice(text.PRIORITIES),
-                    "o_clerk": f"Clerk#{rng.random_int(1, clerks):09d}",
+                    "o_orderpriority": priorities[raw() % len(priorities)],
+                    "o_clerk": f"Clerk#{1 + raw() % clerks:09d}",
                     "o_shippriority": 0,
                     "o_comment": comment,
                 }

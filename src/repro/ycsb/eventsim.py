@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import log
 
 from repro.common.errors import FaultPlanError, SimulationError
-from repro.common.rng import SeedStream
+from repro.common.rng import SeedStream, float_draws
 from repro.common.stats import arithmetic_mean, percentile, std_error
 from repro.simcluster.events import Environment, Resource
 
@@ -269,8 +269,9 @@ def simulate_closed_loop(
     thresholds = class_thresholds(mix)
 
     def client(index: int):
-        rng = seeds.rng_for("client", index)
-        random_float = rng.random_float
+        # A client draws for its whole life: its stream comes a block at a
+        # time, the same floats TpchRandom64.random_float would give.
+        random_float = float_draws(seeds.seed_for("client", index)).__next__
         fault_rng = seeds.rng_for("fault", index) if station_faults else None
         # Sleeps yield bare float delays and a grant that comes back
         # already fired (a free server) is not yielded: the heap sees the

@@ -124,3 +124,40 @@ class TestSplitsAndScans:
         for key, value in reference.items():
             assert tree.get(key) == value
         assert len(tree) == len(reference)
+
+
+_KEY_MAX = "￿"  # the clusters' upper bound: sorts after every YCSB key
+_BOUNDS = st.one_of(st.just(""), st.just(_KEY_MAX),
+                    st.text(alphabet="abcd", max_size=4))
+
+
+class TestKeysInRange:
+    """``keys_in_range`` seeks to ``low`` and bisects each leaf; it must
+    return what a walk of every key from the first one returns."""
+
+    @given(st.sets(st.text(alphabet="abcd", max_size=4), max_size=150),
+           st.sets(st.text(alphabet="abcd", max_size=4), max_size=60),
+           st.integers(4, 8), _BOUNDS, _BOUNDS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_linear_walk(self, keys, deleted, order, low, high):
+        tree = BTree(order=order)
+        for key in sorted(keys, key=hash):
+            tree.insert(key, key)
+        for key in deleted:  # lazy deletion leaves short or empty leaves
+            tree.delete(key)
+        walk = [key for key, _ in tree.items() if low <= key < high]
+        reads = tree.reads
+        assert tree.keys_in_range(low, high) == walk
+        assert tree.keys_in_range("", _KEY_MAX) == sorted(keys - deleted)
+        assert tree.reads == reads  # metadata only: no read counted
+
+    def test_bounds_between_and_on_keys(self):
+        tree = BTree(order=4)
+        for i in range(0, 200, 2):
+            tree.insert(i, i)
+        assert tree.keys_in_range(10, 20) == [10, 12, 14, 16, 18]
+        assert tree.keys_in_range(11, 21) == [12, 14, 16, 18, 20]
+        assert tree.keys_in_range(198, 1000) == [198]
+        assert tree.keys_in_range(20, 20) == []
+        assert tree.keys_in_range(30, 10) == []
+        assert BTree().keys_in_range("", _KEY_MAX) == []

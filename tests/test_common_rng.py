@@ -1,10 +1,21 @@
 """Tests for the dbgen-style RNGs, including the paper's RANDOM overflow bug."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.rng import SeedStream, TpchRandom, TpchRandom64, to_int32, to_int64
+from repro.common import rng as rng_module
+from repro.common.rng import (
+    SeedStream,
+    TpchRandom,
+    TpchRandom64,
+    float_draws,
+    raw_draws,
+    to_int32,
+    to_int64,
+)
 
 
 class TestInt32Semantics:
@@ -188,6 +199,49 @@ class TestDrawContract:
         assert not hasattr(rng, "__dict__")
         with pytest.raises(AttributeError):
             rng.extra = 1
+
+
+_LANES = rng_module._BLOCK_LANES
+# The whole 64-bit range, its ends, and seeds the class masks (negative or
+# wider than 64 bits).
+_SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1]),
+                   st.integers(-(2**65), 2**65))
+
+
+class TestBlockDraws:
+    """``raw_draws``/``float_draws`` compute splitmix64 a block at a time and
+    must give the class's ``next_raw``/``random_float`` streams bit for bit."""
+
+    @given(_SEEDS, st.integers(0, 5 * _LANES + 3))
+    @settings(max_examples=60, deadline=None)
+    def test_streams_equal_the_scalar_class(self, seed, length):
+        raws, floats = TpchRandom64(seed), TpchRandom64(seed)
+        assert list(islice(raw_draws(seed), length)) == [
+            raws.next_raw() for _ in range(length)]
+        assert list(islice(float_draws(seed), length)) == [
+            floats.random_float() for _ in range(length)]
+
+    @given(_SEEDS, st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_any_block_size_packs_the_same_stream(self, seed, lanes):
+        scalar = TpchRandom64(seed)
+        blocks = rng_module._splitmix64_blocks(seed, lanes)
+        drawn = [value for block in islice(blocks, 5) for value in block]
+        assert drawn == [scalar.next_raw() for _ in range(5 * lanes)]
+
+    def test_iterators_from_one_seed_share_no_state(self):
+        first, second = raw_draws(77), raw_draws(77)
+        head = list(islice(first, _LANES + 5))
+        assert list(islice(second, _LANES + 5)) == head
+        assert next(first) == next(second)
+        a, b = float_draws(77), float_draws(77)
+        next(a)
+        assert next(b) == TpchRandom64(77).random_float()
+
+    def test_extremes_and_masking(self):
+        assert next(raw_draws(-1)) == TpchRandom64(2**64 - 1).next_raw()
+        assert next(raw_draws(2**64 + 5)) == TpchRandom64(5).next_raw()
+        assert all(0.0 <= f < 1.0 for f in islice(float_draws(0), 3 * _LANES))
 
 
 class TestSeedStream:

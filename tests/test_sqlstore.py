@@ -240,6 +240,28 @@ class TestSqlServerNode:
         with pytest.raises(StorageError):
             node.insert("k", {"f": "w"})
 
+    def test_refused_inserts_end_their_transactions(self):
+        """A duplicate key commits the transaction it began, as a refused
+        update does; an oversize row is refused before one begins."""
+        node = SqlServerNode()
+        node.insert("k", {"f": "v"})
+        with pytest.raises(StorageError, match="duplicate"):
+            node.insert("k", {"f": "w"})
+        with pytest.raises(StorageError, match="larger than a page"):
+            node.insert("big", {"f": "z" * 9000})
+        log = [(r.txid, r.op, r.key) for r in node.wal.records_since(0)]
+        assert log == [
+            (1, LogOp.BEGIN, None), (1, LogOp.INSERT, "k"), (1, LogOp.COMMIT, None),
+            (2, LogOp.BEGIN, None), (2, LogOp.COMMIT, None),
+        ]
+        assert node.ops == 2
+        assert node.locks.active_locks == 0
+        node.insert("k2", {"f": "v"})  # the next accepted insert logs as before
+        assert [(r.txid, r.op, r.key) for r in node.wal.records_since(0)][5:] == [
+            (3, LogOp.BEGIN, None), (3, LogOp.INSERT, "k2"), (3, LogOp.COMMIT, None),
+        ]
+        assert node.read("k") == {"f": "v"} and node.ops == 4
+
     def test_scan_ordered(self):
         node = SqlServerNode()
         for i in (5, 2, 9, 1, 7):

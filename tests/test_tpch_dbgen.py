@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.common.rng import TpchRandom64
 from repro.tpch.dbgen import (
     CURRENT_DATE,
     DbGen,
@@ -183,6 +184,26 @@ class TestGeneratedData:
             for row in db.table(name).rows:
                 digest.update(repr(row).encode())
         assert digest.hexdigest() == expected
+
+    def test_tables_draw_block_streams(self, monkeypatch):
+        """Every table draws through ``raw_draws``: the scalar class's
+        ``random_int`` and ``choice`` are never called."""
+        calls = []
+        for name in ("random_int", "choice"):
+            original = getattr(TpchRandom64, name)
+
+            def spy(self, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(TpchRandom64, name, spy)
+        db = DbGen(0.001, 11).generate()
+        assert db.table("lineitem").row_count > 0
+        assert calls == []
+
+    def test_orders_without_customers_are_refused(self):
+        with pytest.raises(ValueError, match="no customers"):
+            DbGen(0.000001).generate()
 
 
 class TestOverflowDemonstration:
