@@ -31,6 +31,18 @@ def _require_positive(value: float, flag: str) -> None:
         raise ConfigurationError(f"{flag} must be > 0, got {value:g}")
 
 
+def _dbgen(scale_factor: float, seed: int, flag: str = "--sf"):
+    """A ``DbGen`` for ``flag``'s scale factor; one it refuses is a usage
+    error.  Only construction is guarded: a fault while generating is not."""
+    from repro.tpch.dbgen import DbGen
+
+    _require_positive(scale_factor, flag)
+    try:
+        return DbGen(scale_factor=scale_factor, seed=seed)
+    except ValueError as exc:
+        raise ConfigurationError(f"{flag}: {exc}") from exc
+
+
 def _parse_whatif_for(spec: str, family: str, context: str) -> dict:
     """Parse a --whatif spec and reject mechanisms of the wrong engine family."""
     from repro.obs import MECHANISMS, parse_whatif
@@ -441,7 +453,10 @@ def _cmd_dss(args) -> int:
         render_table5,
     )
 
-    _require_positive(args.calibration_sf, "--calibration-sf")
+    if not _dbgen(args.calibration_sf, args.seed, "--calibration-sf").orders:
+        raise ConfigurationError(
+            f"--calibration-sf {args.calibration_sf:g} places no orders to "
+            "calibrate on")
     _require_query(args.trace_query, "--trace-query")
     _require_positive(args.trace_sf, "--trace-sf")
     if args.fault_report and not args.faults:
@@ -847,11 +862,9 @@ def _cmd_oltp(args) -> int:
 
 
 def _cmd_dbgen(args) -> int:
-    from repro.tpch.dbgen import DbGen
     from repro.tpch.tbl_io import write_tbl
 
-    _require_positive(args.sf, "--sf")
-    db = DbGen(scale_factor=args.sf, seed=args.seed).generate()
+    db = _dbgen(args.sf, args.seed).generate()
     written = write_tbl(db, args.output)
     for name, rows in sorted(written.items()):
         print(f"{name:>10}: {rows:>10,} rows -> {args.output}/{name}.tbl")
@@ -879,13 +892,12 @@ def _cmd_hiveql(args) -> int:
     from repro.common.errors import PlanError
     from repro.hive.hiveql import compile_plan, parse
     from repro.relational.operators import run
-    from repro.tpch.dbgen import DbGen
 
-    _require_positive(args.sf, "--sf")
+    gen = _dbgen(args.sf, args.seed)
     try:
         # Parsed and planned first: malformed SQL fails before any data exists.
         plan = compile_plan(parse(args.sql))
-        db = DbGen(scale_factor=args.sf, seed=args.seed).generate()
+        db = gen.generate()
         rows = run(plan, db)
     except PlanError as exc:
         raise ConfigurationError(str(exc)) from exc
@@ -896,12 +908,10 @@ def _cmd_hiveql(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    from repro.tpch.dbgen import DbGen
     from repro.tpch.queries import run_query
 
     _require_query(args.number, "query")
-    _require_positive(args.sf, "--sf")
-    db = DbGen(scale_factor=args.sf, seed=args.seed).generate()
+    db = _dbgen(args.sf, args.seed).generate()
     rows = run_query(args.number, db)
     for row in rows[: args.limit]:
         print(row)
@@ -934,9 +944,9 @@ def build_parser() -> argparse.ArgumentParser:
         "Onslaught?' (VLDB 2012)",
     )
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
-                        help="diff two report JSON files (repro-bench/1, "
-                             "repro-prof/1, or repro-live/1 — both the same "
-                             "kind) and attribute the regression; prints a "
+                        help="diff two report JSON files (repro-prof/1 "
+                             "or repro-live/1, both the same kind) and "
+                             "attribute the regression; prints a "
                              "repro-compare/1 table")
     parser.add_argument("--compare-report", metavar="PATH", type=_output_path,
                         help="write the repro-compare/1 JSON "

@@ -68,7 +68,6 @@ from repro.obs.prof import (
     build_prof_report,
     folded_stacks,
     host_meta,
-    profile_summary,
     profiled_live,
     profiled_tracer,
     render_prof_report,
@@ -172,7 +171,6 @@ __all__ = [
     "render_live_report",
     "ProfiledRun",
     "host_meta",
-    "profile_summary",
     "profiled_live",
     "profiled_tracer",
     "build_prof_report",

@@ -1,21 +1,17 @@
 """``repro-compare/1``: diff two runs and *explain* the difference.
 
-The gate today fails with a number ("2.3x slower than baseline") and no
-explanation.  This module is the explaining half: given two documents of
-the same kind — ``repro-bench/1`` trajectory files, ``repro-prof/1``
-self-profiles, or ``repro-live/1`` dashboards — it emits a
-``repro-compare/1`` report whose **attribution lines** decompose each
-regressed headline into the subsystems that moved it::
+Given two documents of the same kind — ``repro-prof/1`` self-profiles or
+``repro-live/1`` dashboards — this module emits a ``repro-compare/1``
+report whose **attribution lines** decompose each regressed headline into
+the subsystems that moved it::
 
-    ycsb_workload_a_eventsim +38%: 71% digest.update, 22% routing, 7% unattributed
+    wall +38%: 71% digest.update, 22% routing, 7% unattributed
 
-Attribution needs per-subsystem breakdowns on both sides; bench entries
-carry them when recorded with ``trajectory.py --profile``, prof reports
-always do, and live reports (which are deterministic simulation output,
-not wall clock) get a totals-level diff instead.  Rows whose baseline
-side recorded run-to-run spread (``stddev`` from multi-run timings) are
-flagged significant only beyond two standard deviations — the
-noise-vs-regression distinction the satellite tasks ask for.
+Prof reports carry per-subsystem self times on both sides, so a wall-clock
+regression is attributed to them; live reports (deterministic simulation
+output, not wall clock) get a totals-level diff instead.  A row is flagged
+significant when it moved by 1% or more.  Every diffed number must be
+finite: an infinite or NaN operand is a usage error, not a row.
 
 Host fingerprints are diffed, never ignored: wall-clock comparisons
 across differing hosts are annotated so a CPU upgrade is not mistaken
@@ -25,6 +21,7 @@ for an optimisation.
 from __future__ import annotations
 
 import json
+import math
 
 from repro.common.envelope import check_envelope, check_fields
 from repro.common.errors import ConfigurationError
@@ -35,16 +32,8 @@ SCHEMA = "repro-compare/1"
 
 #: Input schemas this engine knows how to diff.
 _SCHEMA_KINDS = {
-    "repro-bench/1": "bench",
     "repro-prof/1": "prof",
     "repro-live/1": "live",
-}
-
-#: Optional fields of a ``repro-bench/1`` entry the bench diff reads.
-_BENCH_ENTRY_OPTIONAL = {
-    "seconds": (float, type(None)),
-    "stddev": (float, type(None)),
-    "profile": dict,
 }
 
 #: Contributors below this share of the total delta are folded into the
@@ -56,7 +45,7 @@ MAX_CONTRIBUTORS = 4
 
 
 def detect_kind(doc: dict) -> str:
-    """``bench`` / ``prof`` / ``live`` from a document's schema field."""
+    """``prof`` / ``live`` from a document's schema field."""
     if not isinstance(doc, dict):
         raise ConfigurationError("comparand must be a JSON object")
     schema = doc.get("schema")
@@ -81,32 +70,11 @@ def load_run(path: str) -> dict:
     try:
         if kind == "live":
             validate_live_report(doc)
-        elif kind == "prof":
-            validate_prof_report(doc)
         else:
-            _check_bench(doc)
+            validate_prof_report(doc)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     return doc
-
-
-def _check_bench(doc: dict) -> None:
-    """``repro-bench/1`` has no validator: check what the bench diff reads."""
-    check_fields(doc, {"benchmarks": dict}, "bench file")
-    for name, entry in doc["benchmarks"].items():
-        where = f"benchmark {name!r}"
-        check_fields(entry, {}, where)  # an object, before the lookups
-        check_fields(entry, {field: kind
-                             for field, kind in _BENCH_ENTRY_OPTIONAL.items()
-                             if field in entry}, where)
-        profile = entry.get("profile", {})
-        if "subsystems" not in profile:
-            continue
-        check_fields(profile, {"subsystems": dict}, f"{where} profile")
-        for sub, info in profile["subsystems"].items():
-            if isinstance(info, dict) and "self_s" in info:
-                check_fields(info, {"self_s": float},
-                             f"{where} subsystem {sub!r}")
 
 
 def host_delta(a: dict | None, b: dict | None) -> list[str]:
@@ -121,24 +89,24 @@ def host_delta(a: dict | None, b: dict | None) -> list[str]:
     return out
 
 
-def _row(metric: str, a: float, b: float, noise: float = 0.0) -> dict:
+def _row(metric: str, a: float, b: float) -> dict:
+    try:
+        finite = math.isfinite(a) and math.isfinite(b)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ConfigurationError(
+            f"cannot compare {metric}: not a finite number")
     delta = b - a
     pct = round(100.0 * delta / a, 1) if a else None
-    if noise > 0.0:
-        significant = abs(delta) > 2.0 * noise
-    else:
-        significant = pct is not None and abs(pct) >= 1.0
-    row = {
+    return {
         "metric": metric,
         "a": round(a, 6),
         "b": round(b, 6),
         "delta": round(delta, 6),
         "delta_pct": pct,
-        "significant": bool(significant),
+        "significant": pct is not None and abs(pct) >= 1.0,
     }
-    if noise > 0.0:
-        row["noise"] = round(noise, 6)
-    return row
 
 
 def _attribution(label: str, a_total: float, b_total: float,
@@ -175,48 +143,6 @@ def _attribution(label: str, a_total: float, b_total: float,
         parts = ["no subsystem attribution (profile both runs "
                  "with --profile to attribute)"]
     return f"{label} +{pct:.0f}%: " + ", ".join(parts)
-
-
-def _profile_subs(entry: dict) -> dict:
-    """``{name: self_s}`` from a bench entry's embedded profile summary."""
-    subs = entry.get("profile", {}).get("subsystems", {})
-    return {name: info.get("self_s", 0.0) for name, info in subs.items()
-            if isinstance(info, dict)}
-
-
-def _compare_bench(a: dict, b: dict, names=None) -> tuple[list, list, list]:
-    rows, attribution, notes = [], [], []
-    a_benches = a.get("benchmarks", {})
-    b_benches = b.get("benchmarks", {})
-    shared = sorted(set(a_benches) & set(b_benches))
-    if names is not None:
-        wanted = set(names)
-        shared = [n for n in shared if n in wanted]
-    if a.get("smoke") != b.get("smoke"):
-        notes.append(
-            f"smoke flavours differ (a={a.get('smoke')}, b={b.get('smoke')}):"
-            " wall clocks are not comparable across flavours")
-    for name in shared:
-        ea, eb = a_benches[name], b_benches[name]
-        if ea.get("timed_out") or eb.get("timed_out"):
-            notes.append(f"{name}: timed out on one side, skipped")
-            continue
-        sa, sb = ea.get("seconds"), eb.get("seconds")
-        if not isinstance(sa, (int, float)) or not isinstance(
-                sb, (int, float)):
-            continue
-        noise = max(ea.get("stddev", 0.0) or 0.0, eb.get("stddev", 0.0) or 0.0)
-        rows.append(_row(f"{name}.seconds", sa, sb, noise=noise))
-        subs_a, subs_b = _profile_subs(ea), _profile_subs(eb)
-        for sub in sorted(set(subs_a) & set(subs_b)):
-            rows.append(_row(f"{name}/{sub}",
-                             subs_a.get(sub, 0.0), subs_b.get(sub, 0.0)))
-        line = _attribution(name, sa, sb, subs_a, subs_b)
-        if line is not None and (noise == 0.0 or (sb - sa) > 2.0 * noise):
-            attribution.append(line)
-    if not shared:
-        notes.append("no shared benchmarks between the two files")
-    return rows, attribution, notes
 
 
 def _prof_subs(doc: dict) -> dict:
@@ -280,27 +206,24 @@ def _compare_live(a: dict, b: dict) -> tuple[list, list, list]:
     return rows, attribution, notes
 
 
-def compare_runs(a: dict, b: dict, a_label: str = "a", b_label: str = "b",
-                 names=None) -> dict:
+def compare_runs(a: dict, b: dict, a_label: str = "a",
+                 b_label: str = "b") -> dict:
     """Diff two same-kind documents into a ``repro-compare/1`` report.
 
     ``a`` is the baseline, ``b`` the candidate: positive deltas mean the
-    candidate is bigger/slower.  ``names`` (bench kind only) restricts
-    the diff to those benchmark names — the gate passes the regressed set.
+    candidate is bigger/slower.
     """
     kind_a, kind_b = detect_kind(a), detect_kind(b)
     if kind_a != kind_b:
         raise ConfigurationError(
             f"cannot compare {kind_a} against {kind_b}: "
             "both runs must share a schema")
-    if kind_a == "bench":
-        rows, attribution, notes = _compare_bench(a, b, names=names)
-    elif kind_a == "prof":
+    if kind_a == "prof":
         rows, attribution, notes = _compare_prof(a, b)
     else:
         rows, attribution, notes = _compare_live(a, b)
     hosts = host_delta(a.get("host"), b.get("host"))
-    if hosts and kind_a in ("bench", "prof"):
+    if hosts and kind_a == "prof":
         notes.append("hosts differ (" + "; ".join(hosts) +
                      "): wall-clock deltas may reflect the machine, "
                      "not the code")
@@ -315,11 +238,10 @@ def compare_runs(a: dict, b: dict, a_label: str = "a", b_label: str = "b",
     }
 
 
-def compare_files(a_path: str, b_path: str, names=None) -> dict:
+def compare_files(a_path: str, b_path: str) -> dict:
     """Load and diff two report files (labels = the paths given)."""
     return compare_runs(load_run(a_path), load_run(b_path),
-                        a_label=str(a_path), b_label=str(b_path),
-                        names=names)
+                        a_label=str(a_path), b_label=str(b_path))
 
 
 _REPORT_REQUIRED = {
@@ -373,8 +295,7 @@ def render_compare_report(data: dict) -> str:
                 f"{_fmt_value(row['b']):>12} "
                 f"{_fmt_value(row['delta']):>12} {pct_s:>8}{marker}"
             )
-        lines.append("  (* = significant: beyond 2 stddev when spread was "
-                     "recorded, else >= 1%)")
+        lines.append("  (* = significant: moved by 1% or more)")
     else:
         lines.append("  no comparable metrics")
     if data["attribution"]:

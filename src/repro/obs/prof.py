@@ -68,7 +68,7 @@ _TIMING_MASK = _TIMING_STRIDE - 1
 
 
 def host_meta() -> dict:
-    """The host fingerprint attached to prof reports and BENCH files.
+    """The host fingerprint attached to prof reports.
 
     Wall-clock numbers are only comparable between identical fingerprints;
     the compare layer annotates (rather than fails) cross-host diffs.
@@ -453,16 +453,6 @@ def profiled_tracer(tracer, prof):
 
 
 # -- the repro-prof/1 report -------------------------------------------------------
-
-
-def profile_summary(prof: ProfiledRun, top: int = 5) -> dict:
-    """Compact summary for embedding (e.g. in a BENCH_*.json entry)."""
-    return {
-        "samples": prof.sample_count,
-        "interval_s": prof.sample_interval,
-        "top": prof.hot_functions(top),
-        "subsystems": prof.subsystem_table(),
-    }
 
 
 def build_prof_report(prof: ProfiledRun, scenario: dict,

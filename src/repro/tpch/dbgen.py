@@ -68,6 +68,9 @@ class DbGen:
         self.seeds = SeedStream(seed)
         self.customers = row_count("customer", scale_factor)
         self.orders = row_count("orders", scale_factor)
+        if self.orders and not self.customers:
+            raise ValueError(
+                f"scale factor {scale_factor} places orders but has no customers")
         self.parts = row_count("part", scale_factor)
         self.suppliers = max(4, row_count("supplier", scale_factor))
 
@@ -217,9 +220,6 @@ class DbGen:
 
     def gen_orders_and_lineitem(self) -> tuple[TableData, TableData]:
         """Orders and lineitem are generated together (shared dates/status)."""
-        if self.orders and not self.customers:
-            raise ValueError(
-                f"scale factor {self.scale_factor} places orders but has no customers")
         raw = raw_draws(self.seeds.seed_for("orders")).__next__
         orders = TableData("orders", SCHEMAS["orders"])
         lineitem = TableData("lineitem", SCHEMAS["lineitem"])

@@ -139,6 +139,34 @@ class TestCli:
         err = self._usage_error(capsys, ["hiveql", "select $ from nation"])
         assert "cannot tokenize" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["query", "1", "--sf", "0.000001"],
+        ["dbgen", "--sf", "0.000001"],
+        ["hiveql", "select n_name from nation", "--sf", "0.000001"],
+        ["dss", "--calibration-sf", "0.000001"],
+        ["dss", "--calibration-sf", "1e-9"],
+    ], ids=["query", "dbgen", "hiveql", "calibration-no-customers",
+            "calibration-no-orders"])
+    def test_scale_factor_dbgen_cannot_serve_is_a_usage_error(
+            self, argv, tmp_path, monkeypatch, capsys):
+        # Below 1/300,000 an SF places orders but no customers; below
+        # 1/3,000,000 it places no orders, which a calibration cannot use.
+        from repro.tpch.dbgen import DbGen
+
+        def refuse(self):
+            raise AssertionError("generated data for a refused scale factor")
+
+        monkeypatch.setattr(DbGen, "generate", refuse)
+        monkeypatch.chdir(tmp_path)
+        assert "-sf" in self._usage_error(capsys, argv)
+        assert not any(tmp_path.iterdir())
+
+    def test_smallest_scale_factors_still_run(self, capsys):
+        assert main(["query", "1", "--sf", "1e-9"]) == 0
+        assert capsys.readouterr().out == "(0 row(s))\n"
+        # The smallest calibration SF with a customer (and five orders).
+        assert main(["dss", "--calibration-sf", "0.0000034"]) == 0
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

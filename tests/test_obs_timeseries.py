@@ -1,6 +1,7 @@
 """Unit tests for the utilization time-series layer (repro.obs.timeseries)."""
 
 import json
+import time
 
 import pytest
 
@@ -224,3 +225,23 @@ class TestSeriesFromTracer:
         derived = series_from_tracer(tracer, interval=0.5)
         total_hold = sum(sp.duration for sp in tracer.find(cat="resource"))
         assert derived.get("disk", "hold").integral() == pytest.approx(total_hold)
+
+
+class TestSamplerOverhead:
+    def test_sampled_query_costs_at_most_eight_bare_runs(self, causal_study):
+        # A wall-clock ratio within one process, so machine-neutral: Q1 at
+        # SF 250 with a fresh sampler against the bare run, best of seven
+        # each (about 4x on a 2-vCPU host; 19.6x before batched
+        # accumulation). A faster bare run raises the ratio too: if it
+        # crosses the ceiling, make the sampler cheaper.
+        hive = causal_study.hive
+        bare, sampled = [], []
+        for _ in range(7):
+            t0 = time.perf_counter()
+            hive.run_query(1, 250.0)
+            t1 = time.perf_counter()
+            hive.run_query(1, 250.0, sampler=UtilizationSampler())
+            t2 = time.perf_counter()
+            bare.append(t1 - t0)
+            sampled.append(t2 - t1)
+        assert min(sampled) / min(bare) <= 8.0

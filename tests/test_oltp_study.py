@@ -170,6 +170,13 @@ class TestWorkloadE:
         sql = study.evaluate("sql-cs", "E", 1_000)
         assert as_.latency_ms("insert") > 3 * sql.latency_ms("insert")
 
+    def test_event_sim_runs_the_scan_mix(self, study):
+        _, sim = study.event_sim_point("mongo-as", "E", 2_000, duration=20.0)
+        counts = {name: h.total for name, h in sim.histograms.items()}
+        assert set(counts) == {"scan", "insert"}
+        assert sum(counts.values()) == sim.completed_ops > 0
+        assert counts["scan"] > 10 * counts["insert"]  # 95/5
+
 
 class TestLoadTimes:
     def test_section_342_ordering(self, study):

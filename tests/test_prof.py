@@ -20,7 +20,6 @@ from repro.obs import (
     build_prof_report,
     folded_stacks,
     host_meta,
-    profile_summary,
     profiled_live,
     profiled_tracer,
     render_prof_report,
@@ -361,13 +360,6 @@ class TestProfReport:
             self, assert_validator_total):
         report = build_prof_report(self._profiled(), {"kind": "test"})
         assert_validator_total(validate_prof_report, report)
-
-    def test_profile_summary_shape(self):
-        prof = self._profiled()
-        summary = profile_summary(prof, top=5)
-        assert set(summary) == {"samples", "interval_s", "top", "subsystems"}
-        assert len(summary["top"]) <= 5
-        assert "eventsim.loop" in summary["subsystems"]
 
 
 class TestExporters:

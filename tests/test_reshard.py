@@ -452,6 +452,16 @@ class TestReshardReport:
                         shard_count=2, record_count=150, operations=300)
 
 
+class TestRebalanceCeiling:
+    def test_scale_up_rebalances_within_ceiling(self):
+        # Virtual seconds, so deterministic per seed and machine-neutral
+        # (0.380327 at seed 11). Past 1.5 s the throttled migration engine
+        # stalls foreground traffic far longer than the scenario intends.
+        row = reshard_row("mongo-as", "scale:shards=6@0.3", shard_count=4,
+                          record_count=300, operations=600, seed=11)
+        assert row["time_to_rebalance_s"] <= 1.5
+
+
 class TestValidation:
     def test_rejects_wrong_schema(self, report):
         bad = dict(report, schema="repro-availability/1")
