@@ -89,16 +89,17 @@ class BTree:
             index = 0
         return out
 
-    def keys_in_range(self, low, high) -> list:
+    def keys_in_range(self, low, high=None) -> list:
         """All keys in ``[low, high)``, in order: a seek to ``low`` and a
-        bisection of each leaf up to ``high``.  Metadata only, so it counts
-        no read (a split or migration enumerating a shard's keys)."""
+        bisection of each leaf up to ``high``; ``high=None`` means no upper
+        bound.  Metadata only, so it counts no read (a split or migration
+        enumerating a shard's keys)."""
         leaf = self._find_leaf(low)
         start = bisect.bisect_left(leaf.keys, low)
         out: list = []
         while leaf is not None:
             keys = leaf.keys
-            end = bisect.bisect_left(keys, high)
+            end = len(keys) if high is None else bisect.bisect_left(keys, high)
             out.extend(keys[start:end])
             if end < len(keys):
                 break

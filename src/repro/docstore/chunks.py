@@ -149,9 +149,10 @@ def migrate_chunk(config: ConfigServer, chunk: Chunk, shards: list,
 
     The copy→commit order is what makes a crash mid-migration lose nothing:
 
-    1. read the whole snapshot from the source (a dead source aborts here —
-       ownership and data untouched);
-    2. write every document to the destination, clearing any stray copy a
+    1. read the whole snapshot from the source as stored BSON bytes (a
+       dead source aborts here — ownership and data untouched);
+    2. write every document's bytes, as read, to the destination (no
+       document is decoded or re-encoded), clearing any stray copy a
        previously aborted attempt left behind (a dead destination aborts
        here, rolling back what landed — ownership stays at the source);
     3. only then flip ownership and bump the metadata version, and finally
@@ -166,10 +167,10 @@ def migrate_chunk(config: ConfigServer, chunk: Chunk, shards: list,
     """
     source = chunk.shard
     low = chunk.low if chunk.low is not None else ""
-    high = chunk.high if chunk.high is not None else "￿"
     try:
-        keys = shards[source].collection(collection).keys_in_range(low, high)
-        documents = [shards[source].find_one(collection, key) for key in keys]
+        keys = shards[source].collection(collection).keys_in_range(
+            low, chunk.high)
+        images = [shards[source].find_encoded(collection, key) for key in keys]
     except ServerCrashed as exc:
         raise ShardUnavailable(
             f"chunk migration aborted: source shard {source} is "
@@ -177,11 +178,11 @@ def migrate_chunk(config: ConfigServer, chunk: Chunk, shards: list,
         ) from exc
     copied: list = []
     try:
-        for key, document in zip(keys, documents):
-            if document is None:
+        for key, data in zip(keys, images):
+            if data is None:
                 continue
             shards[target].remove(collection, key)
-            shards[target].insert(collection, document)
+            shards[target].insert_encoded(collection, key, data)
             copied.append(key)
     except ServerCrashed as exc:
         try:

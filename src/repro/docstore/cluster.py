@@ -60,8 +60,6 @@ from repro.docstore.ring import HashRing, vnode_point
 
 DEFAULT_COLLECTION = "usertable"
 
-_KEY_MAX = "￿"  # sorts after every YCSB key
-
 
 def hash_shard(key: str, shard_count: int) -> int:
     """Deterministic client-side hash routing (crc32, stable across runs)."""
@@ -500,7 +498,7 @@ class _MongoShards:
 
     def _keys(self, shard: int) -> list[str]:
         return self.shards[shard].collection(self.collection).keys_in_range(
-            "", _KEY_MAX)
+            "", None)
 
     def _remove(self, shard: int, key: str) -> bool:
         return self.shards[shard].remove(self.collection, key)
@@ -653,9 +651,7 @@ class MongoAsCluster(_MongoShards, ShardedCluster):
                 return  # a migrating chunk cannot split (mongos refuses too)
         shard = self.shards[chunk.shard]
         low = chunk.low if chunk.low is not None else ""
-        keys = shard.collection(self.collection).keys_in_range(
-            low, chunk.high if chunk.high is not None else _KEY_MAX
-        )
+        keys = shard.collection(self.collection).keys_in_range(low, chunk.high)
         if len(keys) < 2:
             return
         median = keys[len(keys) // 2]

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.common.errors import StorageError
+from repro.docstore import bson
 
 FLUSH_INTERVAL = 0.1  # seconds (the 100 ms the paper quotes)
 
@@ -138,28 +139,25 @@ class JournaledMongod:
         self.journal.maybe_flush(self.clock)
 
     def insert(self, collection: str, document: dict) -> None:
-        from repro.docstore import bson
-
-        self.journal.append(
-            self.clock, JournalOp.INSERT, collection, document["_id"],
-            bson.encode(document),
-        )
-        self.mongod.insert(collection, document)
+        """Encode once: the journal entry and mongod hold the same bytes."""
+        key = document["_id"]
+        data = bson.encode(document)
+        self.journal.append(self.clock, JournalOp.INSERT, collection, key, data)
+        self.mongod.insert_encoded(collection, key, data)
 
     def update(self, collection: str, key, fieldname: str, value) -> bool:
-        from repro.docstore import bson
-
         # Write-ahead: the intended after-image goes to the journal *before*
         # mongod mutates the document, so a crash between the two steps can
         # only ever lose the un-journaled application (which redo replays),
-        # never an applied-but-unjournaled write.
-        before = self.mongod.find_one(collection, key)
+        # never an applied-but-unjournaled write.  The image is the stored
+        # bytes with one field rewritten (``bson.with_field``), as mongod's
+        # own update builds it.
+        before = self.mongod.find_encoded(collection, key)
         if before is None:
             return False
-        after = dict(before)
-        after[fieldname] = value
         self.journal.append(
-            self.clock, JournalOp.UPDATE, collection, key, bson.encode(after)
+            self.clock, JournalOp.UPDATE, collection, key,
+            bson.with_field(before, fieldname, value),
         )
         ok = self.mongod.update(collection, key, fieldname, value)
         if not ok:
@@ -170,7 +168,7 @@ class JournaledMongod:
 
     def remove(self, collection: str, key) -> bool:
         """Journal a tombstone (write-ahead), then remove from mongod."""
-        if self.mongod.find_one(collection, key) is None:
+        if self.mongod.find_encoded(collection, key) is None:
             return False
         self.journal.append(self.clock, JournalOp.REMOVE, collection, key)
         ok = self.mongod.remove(collection, key)
@@ -184,12 +182,12 @@ class JournaledMongod:
         return self.mongod.find_one(collection, key)
 
     def crash_and_recover(self):
-        """Kill the process; rebuild a fresh mongod from the journal alone."""
-        from repro.docstore import bson
+        """Kill the process; rebuild a fresh mongod from the journal alone
+        (its after-images are stored as they are, not decoded)."""
         from repro.docstore.mongod import Mongod
 
         recovered = Mongod(f"{self.mongod.name}.recovered")
         for (collection, key), image in self.journal.replay().items():
             if image is not None:
-                recovered.insert(collection, bson.decode(image))
+                recovered.insert_encoded(collection, key, image)
         return recovered

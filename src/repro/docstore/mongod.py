@@ -54,7 +54,8 @@ class GlobalLock:
 
 
 class Collection:
-    """Documents in insertion-independent ``_id`` order with a B-tree index."""
+    """Documents in insertion-independent ``_id`` order with a B-tree index,
+    stored as BSON bytes (:class:`Mongod` encodes and decodes them)."""
 
     def __init__(self, name: str):
         self.name = name
@@ -64,17 +65,15 @@ class Collection:
     def __len__(self) -> int:
         return len(self._index)
 
-    def insert(self, document: dict) -> None:
-        if "_id" not in document:
-            raise StorageError("document needs an _id")
-        data = bson.encode(document)
-        if not self._index.insert(document["_id"], data):
-            raise StorageError(f"duplicate _id {document['_id']!r}")
+    def insert_encoded(self, key, data: bytes) -> None:
+        """Store one document's BSON bytes under its ``_id``, as given."""
+        if not self._index.insert(key, data):
+            raise StorageError(f"duplicate _id {key!r}")
         self.bytes_stored += len(data)
 
-    def find_one(self, key):
-        data = self._index.get(key)
-        return bson.decode(data) if data is not None else None
+    def find_encoded(self, key) -> bytes | None:
+        """The stored BSON bytes of one document, or None."""
+        return self._index.get(key)
 
     def update_field(self, key, fieldname: str, value) -> bool:
         """Set one field by rewriting it in the stored bytes
@@ -105,8 +104,9 @@ class Collection:
             return None
         return self._index.min_key(), self._index.max_key()
 
-    def keys_in_range(self, low, high) -> list:
-        """All keys in [low, high) — used when migrating a chunk off a shard."""
+    def keys_in_range(self, low, high=None) -> list:
+        """All keys in [low, high), ``high=None`` meaning no upper bound —
+        used when migrating a chunk off a shard."""
         return self._index.keys_in_range(low, high)
 
 
@@ -172,22 +172,35 @@ class Mongod:
     # writes exclude everything (the 1.8 behaviour).
 
     def insert(self, collection: str, document: dict) -> None:
+        if "_id" not in document:
+            raise StorageError("document needs an _id")
+        self.insert_encoded(collection, document["_id"], bson.encode(document))
+
+    def insert_encoded(self, collection: str, key, data: bytes) -> None:
+        """Store one document's BSON bytes under ``key`` (its ``_id``) as
+        given: the op ``insert`` runs once it has encoded the document."""
         self._check_alive()
         self.lock.acquire_write()
         try:
             self.ops += 1
             self._record_hold("write")
-            self.collection(collection).insert(document)
+            self.collection(collection).insert_encoded(key, data)
         finally:
             self.lock.release_write()
 
     def find_one(self, collection: str, key):
+        data = self.find_encoded(collection, key)
+        return bson.decode(data) if data is not None else None
+
+    def find_encoded(self, collection: str, key) -> bytes | None:
+        """One document's stored BSON bytes, or None: the op ``find_one``
+        runs before it decodes them."""
         self._check_alive()
         self.lock.acquire_read()
         try:
             self.ops += 1
             self._record_hold("read")
-            return self.collection(collection).find_one(key)
+            return self.collection(collection).find_encoded(key)
         finally:
             self.lock.release_read()
 

@@ -134,15 +134,17 @@ class ReplicaMember:
             entry.collection, entry.key, entry.document,
         )
         if entry.op is JournalOp.INSERT:
-            if self.mongod.find_one(entry.collection, entry.key) is None:
-                self.mongod.insert(entry.collection, bson.decode(entry.document))
+            if self.mongod.find_encoded(entry.collection, entry.key) is None:
+                self.mongod.insert_encoded(entry.collection, entry.key,
+                                           entry.document)
         elif entry.op is JournalOp.UPDATE:
             if not self.mongod.update(
                 entry.collection, entry.key, entry.fieldname, entry.value
             ):
                 # The base insert is always earlier in the same history, but
                 # be robust: fall back to the full after-image.
-                self.mongod.insert(entry.collection, bson.decode(entry.document))
+                self.mongod.insert_encoded(entry.collection, entry.key,
+                                           entry.document)
         else:
             self.mongod.remove(entry.collection, entry.key)
         self.applied.append(entry.seq)
@@ -172,8 +174,9 @@ class ReplicaSet:
     """A primary/secondary mongod group with a Mongod-compatible surface.
 
     Presents the same op methods as a bare :class:`Mongod` (``insert``,
-    ``find_one``, ``update``, ``scan``, ``scan_entries``, ``remove``,
-    ``collection``, ``kill``, ``restart``) so the existing Mongo-AS/Mongo-CS
+    ``insert_encoded``, ``find_one``, ``find_encoded``, ``update``,
+    ``scan``, ``scan_entries``, ``remove``, ``collection``, ``kill``,
+    ``restart``) so the existing Mongo-AS/Mongo-CS
     clusters can swap one in per shard.  Additionally exposes the
     replication-only controls the chaos harness drives: ``tick``,
     ``kill_member``/``restart_member``, ``partition_member``/``heal_member``,
@@ -368,7 +371,7 @@ class ReplicaSet:
         """Re-apply a recovered rollback-file entry unless it was superseded."""
         primary = self._primary()
         if entry.op is JournalOp.INSERT:
-            if primary.mongod.find_one(entry.collection, entry.key) is not None:
+            if primary.mongod.find_encoded(entry.collection, entry.key) is not None:
                 return
         else:
             latest = self._current_max_origin(
@@ -379,7 +382,7 @@ class ReplicaSet:
                 return
             if (
                 entry.op is JournalOp.UPDATE
-                and primary.mongod.find_one(entry.collection, entry.key) is None
+                and primary.mongod.find_encoded(entry.collection, entry.key) is None
             ):
                 return  # the base document itself was unrecoverable
         replayed = OplogEntry(
@@ -517,27 +520,28 @@ class ReplicaSet:
         )
 
     def insert(self, collection: str, document: dict) -> None:
-        self._write(
-            JournalOp.INSERT, collection, document["_id"],
-            bson.encode(document),
-        )
+        self.insert_encoded(collection, document["_id"], bson.encode(document))
+
+    def insert_encoded(self, collection: str, key, data: bytes) -> None:
+        """Replicate one document's stored BSON bytes: the oplog entry
+        carries them, and every member stores them as they are."""
+        self._write(JournalOp.INSERT, collection, key, data)
 
     def update(self, collection: str, key, fieldname: str, value) -> bool:
         primary = self._require_primary()
-        before = primary.mongod.find_one(collection, key)
+        before = primary.mongod.find_encoded(collection, key)
         if before is None:
             return False
-        after = dict(before)
-        after[fieldname] = value
         self._write(
-            JournalOp.UPDATE, collection, key, bson.encode(after),
+            JournalOp.UPDATE, collection, key,
+            bson.with_field(before, fieldname, value),
             fieldname=fieldname, value=value,
         )
         return True
 
     def remove(self, collection: str, key) -> bool:
         primary = self._require_primary()
-        if primary.mongod.find_one(collection, key) is None:
+        if primary.mongod.find_encoded(collection, key) is None:
             return False
         self._write(JournalOp.REMOVE, collection, key, None)
         return True
@@ -563,6 +567,10 @@ class ReplicaSet:
         if fresh and behind:
             self.stale_reads += 1
         return member.mongod.find_one(collection, key)
+
+    def find_encoded(self, collection: str, key) -> bytes | None:
+        """The primary's stored BSON bytes of one document, or None."""
+        return self._require_primary().mongod.find_encoded(collection, key)
 
     def scan_entries(self, collection: str, start_key, count: int) -> list[tuple]:
         return self._require_primary().mongod.scan_entries(

@@ -22,8 +22,6 @@ from repro.docstore.cluster import HashShardedCluster
 from repro.sqlstore.locks import IsolationLevel
 from repro.sqlstore.server import SqlServerNode, decode_entry
 
-_KEY_MAX = "￿"  # sorts after every YCSB key
-
 
 class SqlCsCluster(HashShardedCluster):
     """Client-side sharded SQL Server (one SqlServerNode per shard)."""
@@ -75,7 +73,7 @@ class SqlCsCluster(HashShardedCluster):
     _decode = staticmethod(decode_entry)
 
     def _keys(self, shard: int) -> list[str]:
-        return self.shards[shard].keys_in_range("", _KEY_MAX)
+        return self.shards[shard].keys_in_range("", None)
 
     def _remove(self, shard: int, key: str) -> bool:
         return self.shards[shard].remove(key)

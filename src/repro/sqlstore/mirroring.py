@@ -113,7 +113,7 @@ class MirroredSqlServerNode:
             self._ship(lambda node: node.remove(key))
         return ok
 
-    def keys_in_range(self, low: str, high: str) -> list[str]:
+    def keys_in_range(self, low: str, high: str | None = None) -> list[str]:
         return self.principal.keys_in_range(low, high)
 
     def scan_entries(self, start_key: str, count: int) -> list[tuple[str, bytes]]:
@@ -148,7 +148,8 @@ class MirroredSqlServerNode:
             self.mirror = self._resync_mirror()
 
     def _resync_mirror(self) -> SqlServerNode:
-        """Rebuild the mirror as a full copy of the principal's rows.
+        """Rebuild the mirror as a full copy of the principal's rows, copied
+        as stored bytes (no row is decoded or re-encoded).
 
         (A restore-plus-log-tail in real SQL Server; here the principal's
         current committed state *is* that restore, since every committed
@@ -160,9 +161,9 @@ class MirroredSqlServerNode:
             isolation=self.mirror.isolation,
         )
         count = self.principal.row_count
-        for row in (self.principal.scan("", count) if count else []):
-            key = row.pop("_key")
-            fresh.insert(key, row)
+        for key, data in (self.principal.scan_entries("", count)
+                          if count else []):
+            fresh.insert_encoded(key, data)
         return fresh
 
     def crash_principal_and_verify(self) -> int:

@@ -182,8 +182,12 @@ class SqlServerNode:
     # -- operations -----------------------------------------------------------------
 
     def insert(self, key: str, record: dict[str, str]) -> None:
+        self.insert_encoded(key, encode_row(record))
+
+    def insert_encoded(self, key: str, data: bytes) -> None:
+        """Insert one row's stored bytes (``encode_row``'s form) as they are:
+        the transaction ``insert`` runs once it has encoded the row."""
         self._check_alive()
-        data = encode_row(record)
         if len(data) > MAX_ROW_BYTES:
             raise StorageError("row larger than a page")
         txid = self._begin()
@@ -262,8 +266,9 @@ class SqlServerNode:
         finally:
             self._commit(txid)
 
-    def keys_in_range(self, low: str, high: str) -> list[str]:
-        """All keys in [low, high), sorted — migration snapshot enumeration.
+    def keys_in_range(self, low: str, high: str | None = None) -> list[str]:
+        """All keys in [low, high), sorted, ``high=None`` meaning no upper
+        bound — migration snapshot enumeration.
 
         Metadata-only (walks the index, touches no pages); the data-plane
         cost of actually moving the rows is modelled by the migration

@@ -9,9 +9,8 @@ decreases to 7,000-8,000 ops/sec").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.common.errors import StorageError
 
@@ -26,8 +25,24 @@ class LogOp(Enum):
     CHECKPOINT = "checkpoint"
 
 
-@dataclass(frozen=True)
-class LogRecord:
+#: Bytes every log record takes before its key and images.
+HEADER_BYTES = 32
+
+
+def record_size(key, before, after) -> int:
+    """A log record's bytes: the header plus the UTF-8 or raw length of
+    each payload present (key, before image, after image)."""
+    size = HEADER_BYTES
+    for payload in (key, before, after):
+        if payload is not None:
+            size += len(payload) if isinstance(payload, bytes) else len(payload.encode())
+    return size
+
+
+class LogRecord(NamedTuple):
+    """One immutable log record (a named tuple: cheap to build, one per
+    logged operation)."""
+
     lsn: int
     txid: int
     op: LogOp
@@ -37,11 +52,7 @@ class LogRecord:
 
     @property
     def byte_size(self) -> int:
-        size = 32  # header
-        for payload in (self.key, self.before, self.after):
-            if payload is not None:
-                size += len(payload) if isinstance(payload, bytes) else len(payload.encode())
-        return size
+        return record_size(self.key, self.before, self.after)
 
 
 class WriteAheadLog:
@@ -59,7 +70,7 @@ class WriteAheadLog:
         record = LogRecord(self._next_lsn, txid, op, key, before, after)
         self._next_lsn += 1
         self._records.append(record)
-        self.bytes_written += record.byte_size
+        self.bytes_written += record_size(key, before, after)
         return record
 
     def flush(self) -> None:

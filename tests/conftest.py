@@ -1,5 +1,6 @@
 """Shared fixtures: a small generated TPC-H database reused across tests,
-and a field-replacement check for the ``repro-*/1`` report validators."""
+a call spy for codec-count tests, and a field-replacement check for the
+``repro-*/1`` report validators."""
 
 import copy
 
@@ -35,6 +36,24 @@ def causal_study():
     from repro.core.dss import DssStudy
 
     return DssStudy(fit=False)
+
+
+@pytest.fixture
+def spy_calls(monkeypatch):
+    """``spy((module, name), ...)``: wrap each named function so that each
+    call appends its name to the list ``spy`` returns, then runs it.
+    ``monkeypatch.undo()`` ends the spying early."""
+    def spy(*pairs) -> list:
+        calls = []
+        for module, name in pairs:
+            call = getattr(module, name)
+
+            def logged(*args, _call=call, _name=name):
+                calls.append(_name)
+                return _call(*args)
+            monkeypatch.setattr(module, name, logged)
+        return calls
+    return spy
 
 
 def _fields(node, path="doc"):

@@ -126,9 +126,9 @@ class TestSplitsAndScans:
         assert len(tree) == len(reference)
 
 
-_KEY_MAX = "￿"  # the clusters' upper bound: sorts after every YCSB key
-_BOUNDS = st.one_of(st.just(""), st.just(_KEY_MAX),
-                    st.text(alphabet="abcd", max_size=4))
+_LOWS = st.one_of(st.just(""), st.just("\uffff"),
+                  st.text(alphabet="abcd", max_size=4))
+_HIGHS = st.one_of(st.none(), _LOWS)  # None: no upper bound
 
 
 class TestKeysInRange:
@@ -137,7 +137,7 @@ class TestKeysInRange:
 
     @given(st.sets(st.text(alphabet="abcd", max_size=4), max_size=150),
            st.sets(st.text(alphabet="abcd", max_size=4), max_size=60),
-           st.integers(4, 8), _BOUNDS, _BOUNDS)
+           st.integers(4, 8), _LOWS, _HIGHS)
     @settings(max_examples=150, deadline=None)
     def test_matches_the_linear_walk(self, keys, deleted, order, low, high):
         tree = BTree(order=order)
@@ -145,10 +145,11 @@ class TestKeysInRange:
             tree.insert(key, key)
         for key in deleted:  # lazy deletion leaves short or empty leaves
             tree.delete(key)
-        walk = [key for key, _ in tree.items() if low <= key < high]
+        walk = [key for key, _ in tree.items()
+                if low <= key and (high is None or key < high)]
         reads = tree.reads
         assert tree.keys_in_range(low, high) == walk
-        assert tree.keys_in_range("", _KEY_MAX) == sorted(keys - deleted)
+        assert tree.keys_in_range("") == sorted(keys - deleted)
         assert tree.reads == reads  # metadata only: no read counted
 
     def test_bounds_between_and_on_keys(self):
@@ -160,4 +161,15 @@ class TestKeysInRange:
         assert tree.keys_in_range(198, 1000) == [198]
         assert tree.keys_in_range(20, 20) == []
         assert tree.keys_in_range(30, 10) == []
-        assert BTree().keys_in_range("", _KEY_MAX) == []
+        assert tree.keys_in_range(150) == list(range(150, 200, 2))
+        assert BTree().keys_in_range("") == []
+
+    def test_no_upper_bound_keeps_keys_past_uffff(self):
+        """A "\\uffff" bound standing for +inf dropped every key at or
+        above it."""
+        keys = ["user0001", "\uffff", "\uffffz", "\U0001F600k"]
+        tree = BTree(order=4)
+        for key in keys:
+            tree.insert(key, key)
+        assert tree.keys_in_range("", None) == sorted(keys)
+        assert tree.keys_in_range("", "\uffff") == ["user0001"]

@@ -20,7 +20,7 @@ from repro.docstore import (
     MongoCsCluster,
 )
 from repro.docstore import bson
-from repro.docstore.chunks import MongosRouter, covering_index
+from repro.docstore.chunks import MongosRouter, covering_index, migrate_chunk
 from repro.sqlstore import (
     SqlCsCluster,
     decode_row,
@@ -87,6 +87,16 @@ class TestBson:
     def test_rejects_unsupported_types(self):
         with pytest.raises(StorageError):
             bson.encode({"a": [1, 2]})
+
+    @given(_DOCUMENTS)
+    @settings(max_examples=200, deadline=None)
+    def test_reencoding_a_decoded_document_gives_its_bytes(self, doc):
+        """``encode(decode(encode(doc))) == encode(doc)`` over every stored
+        type: what makes copying a stored document's bytes (a chunk
+        migration, an oplog or journal image) equal to decoding and
+        re-encoding it."""
+        data = bson.encode(doc)
+        assert bson.encode(bson.decode(data)) == data
 
     @given(
         st.dictionaries(
@@ -388,13 +398,29 @@ class TestBalancerFaultRace:
         # Every chunk's doc_count matches what its shard actually holds.
         for chunk in cluster.config.chunks:
             low = chunk.low if chunk.low is not None else ""
-            high = chunk.high if chunk.high is not None else "￿"
             held = cluster.shards[chunk.shard].collection(
-                "usertable").keys_in_range(low, high)
+                "usertable").keys_in_range(low, chunk.high)
             assert len(held) == chunk.doc_count
 
 
 class TestMongoAsCluster:
+    def test_unbounded_chunk_migration_moves_keys_past_uffff(self):
+        """``high=None`` is no upper bound.  With "\\uffff" standing for
+        +inf, the last three keys stayed behind on the source: 10 of 13
+        documents moved, and reads of the three returned None."""
+        cluster = MongoAsCluster(shard_count=2)
+        keys = [f"user{i:04d}" for i in range(10)]
+        keys += ["\uffff", "\uffffz", "\U0001F600k"]
+        for key in keys:
+            cluster.insert(key, {"field0": key})
+        (chunk,) = cluster.config.chunks
+        assert migrate_chunk(cluster.config, chunk, cluster.shards, 1,
+                             cluster.collection) == 13
+        assert len(cluster.shards[0].collection(cluster.collection)) == 0
+        assert cluster.doc_count == 13
+        for key in keys:
+            assert cluster.read(key) == {"field0": key}
+
     def test_crud_roundtrip(self):
         cluster = MongoAsCluster(shard_count=4, max_chunk_docs=50)
         for i in range(300):
@@ -611,26 +637,16 @@ class TestUpdateContract:
     the decode-set-encode update did."""
 
     @pytest.mark.parametrize("system", ["mongo-as", "mongo-cs", "sql-cs"])
-    def test_update_decodes_and_encodes_nothing(self, system, monkeypatch):
+    def test_update_decodes_and_encodes_nothing(self, system, monkeypatch,
+                                                spy_calls):
         from repro.sqlstore import server
 
         cluster = _build(system)
         for i in range(60):
             cluster.insert(make_key(i), {"field0": "a" * 100,
                                          "field1": "b" * 100})
-        calls = []
-
-        def counting(module, name):
-            call = getattr(module, name)
-
-            def spy(*args):
-                calls.append(name)
-                return call(*args)
-            monkeypatch.setattr(module, name, spy)
-
-        for module, name in ((bson, "decode"), (bson, "encode"),
-                             (server, "decode_row"), (server, "encode_row")):
-            counting(module, name)
+        calls = spy_calls((bson, "decode"), (bson, "encode"),
+                          (server, "decode_row"), (server, "encode_row"))
         for i in range(60):  # field2 is new: the update appends it
             assert cluster.update(make_key(i), f"field{i % 3}", f"new{i}")
         assert not cluster.update(make_key(999), "field0", "x")
@@ -680,3 +696,85 @@ class TestUpdateContract:
         assert [(n.wal.record_count, n.wal.bytes_written, n.pool.hits,
                  n.pool.misses) for n in cluster.shards] == [
             (417, 123610, 61, 102), (435, 156860, 59, 102), (108, 38088, 31, 5)]
+
+
+class TestMigrationContract:
+    """A chunk migration copies each document's stored BSON bytes
+    (``find_encoded`` on the source, ``insert_encoded`` on the target): it
+    decodes and encodes nothing, moves the same documents, and every mongod
+    does the modelled work of the copy through ``find_one`` and ``insert``
+    it replaced (the literals below were recorded with that copy)."""
+
+    @staticmethod
+    def _loaded(replication=None):
+        """120 inserts of ~900-byte records in a scattered order into three
+        shards with 20-document chunks: the splits pile chunks on shard 0."""
+        cluster = MongoAsCluster(shard_count=3, max_chunk_docs=20,
+                                 balancer_threshold=2, mongos_count=2,
+                                 replication=replication, seed=3)
+        for i in range(120):
+            j = i * 7 % 120
+            cluster.insert(make_key(j), {f"field{f}": f"v{j}-{f}".ljust(300, "x")
+                                         for f in range(3)})
+        return cluster
+
+    @staticmethod
+    def _majority():
+        from repro.replication import MAJORITY, ReplicationConfig
+
+        # Majority acks apply every write on one secondary as well.
+        return ReplicationConfig(replicas=3, concern=MAJORITY)
+
+    @staticmethod
+    def _owned_bytes(cluster) -> dict:
+        """Each document's stored bytes, read (without counting an op) from
+        the shard whose chunk owns its key."""
+        out = {}
+        for chunk in cluster.config.chunks:
+            stored = cluster.shards[chunk.shard].collection(cluster.collection)
+            for key in stored.keys_in_range(chunk.low or "", chunk.high):
+                out[key] = stored.find_encoded(key)
+        return out
+
+    @pytest.mark.parametrize("replicated", [False, True])
+    def test_balancer_decodes_and_encodes_nothing(self, replicated,
+                                                  spy_calls):
+        """The copy through ``find_one`` and ``insert`` made one
+        ``bson.decode`` and one ``bson.encode`` per moved document on bare
+        shards (67 of each here); on replica-set shards it made 268 decodes
+        and 201 encodes (the oplog apply decoded and re-encoded too)."""
+        cluster = self._loaded(self._majority() if replicated else None)
+        calls = spy_calls((bson, "decode"), (bson, "encode"))
+        assert cluster.run_balancer() == 5
+        assert calls == []
+        assert cluster.config.migrated_docs == 67
+
+    @pytest.mark.parametrize("replicated", [False, True])
+    def test_moves_the_same_documents_byte_for_byte(self, replicated):
+        cluster = self._loaded(self._majority() if replicated else None)
+        before = self._owned_bytes(cluster)
+        assert len(before) == 120
+        cluster.run_balancer()
+        assert self._owned_bytes(cluster) == before
+        assert cluster.config.shard_chunk_counts(3) == [3, 3, 2]
+        assert [len(s.collection(cluster.collection))
+                for s in cluster.shards] == [53, 41, 26]
+
+    def test_bare_shards_do_the_same_work(self):
+        cluster = self._loaded()
+        cluster.run_balancer()
+        assert [(m.ops, m.lock.read_acquisitions, m.lock.write_acquisitions)
+                for m in cluster.shards] == [
+            (254, 67, 187), (82, 0, 82), (52, 0, 52)]
+
+    def test_replica_set_shards_do_the_same_work(self):
+        """Per member: the primary, the majority-ack secondary, and the
+        secondary no tick has reached."""
+        cluster = self._loaded(self._majority())
+        cluster.run_balancer()
+        assert [[(m.mongod.ops, m.mongod.lock.read_acquisitions,
+                  m.mongod.lock.write_acquisitions) for m in s.members]
+                for s in cluster.shards] == [
+            [(441, 254, 187), (307, 120, 187), (0, 0, 0)],
+            [(123, 82, 41), (82, 41, 41), (0, 0, 0)],
+            [(78, 52, 26), (52, 26, 26), (0, 0, 0)]]

@@ -119,6 +119,37 @@ class TestWriteAhead:
         assert recovered.find_one("c", "drop")["field0"] == "v3"
 
 
+class TestStoredImages:
+    """The journal holds the bytes mongod stores: an insert encodes once,
+    an update's after-image is ``bson.with_field`` over the stored bytes,
+    and recovery stores the images as they are.  Decoding and re-encoding
+    them made 2 encodes per insert, 1 decode and 1 encode per update and
+    per recovered image, with the same mongod ops and lock counts."""
+
+    def test_codec_calls_and_images(self, monkeypatch, spy_calls):
+        from repro.docstore import bson
+
+        node = JournaledMongod(Mongod("m0"))
+        calls = spy_calls((bson, "encode"), (bson, "decode"))
+        node.insert("c", {"_id": "k", "field0": "v1", "n": 2**40})
+        assert calls == ["encode"]
+        node.advance(0.15)
+        node.update("c", "k", "field0", "v2")
+        node.update("c", "k", "field1", None)
+        node.advance(0.15)
+        assert calls == ["encode"]
+        recovered = node.crash_and_recover()
+        assert calls == ["encode"]
+        monkeypatch.undo()
+        assert (node.mongod.ops, node.mongod.lock.read_acquisitions,
+                node.mongod.lock.write_acquisitions) == (5, 2, 3)
+        image = bson.encode({"_id": "k", "field0": "v2", "n": 2**40,
+                             "field1": None})
+        assert node.journal.entries[-1].document == image
+        assert recovered.collection("c").find_encoded("k") == image
+        assert node.mongod.collection("c").find_encoded("k") == image
+
+
 class TestDurabilityGap:
     """The paper's §3.4.1 argument, executed."""
 

@@ -212,6 +212,32 @@ class TestReplicaSet:
         for record in recovered:
             assert rs.find_one("c", record.entry.key) is not None
 
+    def test_replication_copies_stored_bytes(self, monkeypatch, spy_calls):
+        """A majority insert, delivered to every member, makes one
+        ``bson.encode`` and no ``bson.decode``; an update makes neither
+        (its image is ``bson.with_field`` over the stored bytes).  Decoding
+        each oplog image to apply it made 4 encodes and 3 decodes for the
+        insert, and 1 of each for the update, with the same per-mongod ops
+        and lock counts."""
+        from repro.docstore import bson
+
+        rs = make_set(concern=MAJORITY)
+        calls = spy_calls((bson, "encode"), (bson, "decode"))
+        rs.insert("c", {"_id": "k", "field0": "v", "n": 1})
+        rs.settle(rs.now + 1.0)
+        assert calls == ["encode"]
+        rs.update("c", "k", "field0", "w")
+        rs.settle(rs.now + 1.0)
+        assert calls == ["encode"]
+        monkeypatch.undo()
+        assert [(m.mongod.ops, m.mongod.lock.read_acquisitions,
+                 m.mongod.lock.write_acquisitions) for m in rs.members] == [
+            (4, 2, 2), (3, 1, 2), (3, 1, 2)]
+        image = bson.encode({"_id": "k", "field0": "w", "n": 1})
+        assert [m.mongod.collection("c").find_encoded("k")
+                for m in rs.members] == [image] * 3
+        assert rs.find_encoded("c", "k") == image
+
     def test_unavailable_seconds_accrue_during_failover(self):
         rs = make_set(concern=SAFE)
         write_some(rs, 10)
@@ -252,6 +278,25 @@ class TestMirroredSqlServer:
         # The resynced mirror holds everything, including the solo write.
         node.kill()
         assert node.row_count == 2
+
+    def test_resync_copies_row_bytes(self, monkeypatch, spy_calls):
+        """The rebuilt mirror holds the principal's rows byte for byte, and
+        building it decodes and encodes no row."""
+        from repro.sqlstore import server
+
+        node = MirroredSqlServerNode("m")
+        for i in range(30):
+            node.insert(f"k{i:03d}", {"field0": f"v{i}", "f\u00e9": "\u00fc" * i})
+        node.update("k007", "field1", "grown")
+        node.kill()  # the mirror promotes; the old principal is down
+        node.insert("k100", {"field0": "solo"})
+        calls = spy_calls((server, "encode_row"), (server, "decode_row"))
+        node.restart()
+        assert calls == []
+        monkeypatch.undo()
+        assert node.mirror.row_count == node.principal.row_count == 31
+        assert (node.mirror.scan_entries("", 31)
+                == node.principal.scan_entries("", 31))
 
     def test_total_outage_recovers_from_wal(self):
         node = MirroredSqlServerNode("m")

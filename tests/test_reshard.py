@@ -383,7 +383,7 @@ class TestSqlCsElastic(_HashElasticCases):
         end = engine.run_to_completion(0.0)
         cluster.tick(end + 1.0)
         assert cluster.retired_shards == {2}
-        assert cluster.shards[2].keys_in_range("", "￿") == []
+        assert cluster.shards[2].keys_in_range("") == []
         for i in range(80):
             assert cluster.read(make_key(i)) == {"field0": "v"}
 
@@ -399,6 +399,25 @@ def report():
         systems=["mongo-as", "mongo-cs"], reshard="scale:shards=3@0.3",
         shard_count=2, record_count=150, operations=300, seed=11,
     )
+
+
+class TestArcHandoffKeyBounds:
+    @pytest.mark.parametrize("cluster_class", [MongoCsCluster, SqlCsCluster])
+    def test_scale_up_hands_off_keys_past_uffff(self, cluster_class):
+        """A shard's key inventory has no upper bound.  Bounded by
+        "\\uffff", it left out "\\uffff" and "\\uffffz", which read None
+        once their arcs had moved."""
+        cluster = cluster_class(shard_count=2, elastic=True)
+        keys = [f"user{i:04d}" for i in range(10)]
+        keys += ["\uffff", "\uffffz", "\U0001F600k"]
+        for key in keys:
+            cluster.insert(key, {"field0": key})
+        engine = cluster.attach_reshard()
+        cluster.scale_to(4, now=0.0)
+        end = engine.run_to_completion(0.0)
+        cluster.tick(end + 1.0)
+        for key in keys:
+            assert cluster.read(key) == {"field0": key}
 
 
 class TestReshardReport:

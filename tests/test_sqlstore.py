@@ -168,6 +168,26 @@ class TestWal:
         assert wal.flushed_lsn == 3
         assert wal.bytes_written > 0
 
+    def test_bytes_written_is_the_sum_of_record_sizes(self):
+        """Every op, with str, bytes and absent payloads and a non-ASCII
+        key: the log's byte count is its records' sizes summed, each the
+        32-byte header plus the UTF-8 or raw length of each payload."""
+        wal = WriteAheadLog()
+        payloads = (None, "k\u00e9y\U0001F600", b"\x00raw", "plain")
+        records = [wal.append(7, op, key=key, before=before, after=after)
+                   for op in LogOp for key in payloads
+                   for before in payloads for after in payloads[::-1]]
+        assert wal.bytes_written == sum(r.byte_size for r in records)
+        record = wal.append(1, LogOp.UPDATE, key="k\u00e9y\U0001F600",
+                            before=b"\x00raw", after="plain")
+        assert record.byte_size == 32 + 8 + 4 + 5
+        assert wal.append(1, LogOp.BEGIN).byte_size == 32
+        assert [r.lsn for r in wal.records_since(0)] == list(
+            range(1, len(records) + 3))
+        with pytest.raises(AttributeError):
+            record.after = b"changed"  # records are immutable
+        assert record.after == "plain"
+
     def test_replay_ignores_uncommitted(self):
         """Crash recovery: only committed transactions' effects survive."""
         wal = WriteAheadLog()
