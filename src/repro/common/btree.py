@@ -136,33 +136,42 @@ class BTree:
 
     def insert(self, key, value) -> bool:
         """Insert or overwrite; returns True if the key was new."""
+        return self._put(key, value, overwrite=True)
+
+    def insert_if_absent(self, key, value) -> bool:
+        """Insert a new key in one descent; returns False, and writes
+        nothing, when the key is already present."""
+        return self._put(key, value, overwrite=False)
+
+    def _put(self, key, value, overwrite: bool) -> bool:
         self.writes += 1
-        self._was_update = False
-        result = self._insert(self._root, key, value)
+        self._existed = False
+        result = self._insert(self._root, key, value, overwrite)
         if result is not None:
             sep, right = result
             new_root = _Node(is_leaf=False)
             new_root.keys = [sep]
             new_root.children = [self._root, right]
             self._root = new_root
-        return not self._was_update
+        return not self._existed
 
-    def _insert(self, node: _Node, key, value):
+    def _insert(self, node: _Node, key, value, overwrite: bool):
         if node.is_leaf:
             index = bisect.bisect_left(node.keys, key)
             if index < len(node.keys) and node.keys[index] == key:
-                node.values[index] = value
-                self._was_update = True
+                if overwrite:
+                    node.values[index] = value
+                self._existed = True
                 return None
             node.keys.insert(index, key)
             node.values.insert(index, value)
             self._count += 1
-            self._was_update = False
+            self._existed = False
             if len(node.keys) > self.order:
                 return self._split_leaf(node)
             return None
         index = bisect.bisect_right(node.keys, key)
-        result = self._insert(node.children[index], key, value)
+        result = self._insert(node.children[index], key, value, overwrite)
         if result is None:
             return None
         sep, right = result

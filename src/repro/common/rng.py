@@ -16,12 +16,16 @@ splitmix64 is counter-based: draw ``n`` of a stream is
 at once.  :func:`raw_draws` and :func:`float_draws` iterate the exact
 ``next_raw`` and ``random_float`` streams of ``TpchRandom64(seed)`` that
 way, for the long-lived streams that make most draws (dbgen's tables, the
-closed-loop clients).  Starting a block costs far more than one scalar draw,
-so streams that make a handful of draws (the per-op substreams of the open
-loop and the overload simulator) keep the class.
+closed-loop clients, the open loop's Poisson arrivals).  Starting a block
+costs far more than one scalar draw, so streams that make a handful of
+draws (the per-op substreams of the open loop and the overload simulator)
+keep the class.
 
 Everything else (YCSB key choice, simulator jitter) derives seeds from
-:class:`SeedStream` so runs are reproducible end to end.
+:class:`SeedStream` so runs are reproducible end to end.  A per-op stream
+is a keyed counter: :meth:`SeedStream.counter` hashes the path prefix (the
+key) once, and each op's seed then hashes only its integer counters on top
+of it — the same seed :meth:`SeedStream.seed_for` gives for the whole path.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import hashlib
 import sys
 from functools import cache
 from itertools import chain
-from typing import Iterator
+from typing import Callable, Iterator
 
 _INT32_MASK = 0xFFFFFFFF
 _INT64_MASK = 0xFFFFFFFFFFFFFFFF
@@ -248,3 +252,22 @@ class SeedStream:
     def rng_for(self, *path) -> TpchRandom64:
         """Return a fresh :class:`TpchRandom64` for a component path."""
         return TpchRandom64(self.seed_for(*path))
+
+    def counter(self, first, *rest) -> Callable[..., int]:
+        """The seeds of a path prefix followed by integer counters.
+
+        ``counter(*prefix)(*ints) == seed_for(*prefix, *ints)`` bit for bit
+        (``ints`` are plain ints, formatted as ``%d``).  The prefix is hashed
+        once; each call copies that SHA-256 state and hashes only the
+        counters, which is what makes a per-op substream cheap.
+        """
+        prefix = "/".join(str(part) for part in (first, *rest))
+        copy = hashlib.sha256(
+            f"{self.master_seed}:{prefix}".encode("utf-8")).copy
+
+        def seed(*ints) -> int:
+            state = copy()
+            state.update((b"/%d" * len(ints)) % ints)
+            return int.from_bytes(state.digest()[:8], "big")
+
+        return seed

@@ -66,8 +66,9 @@ class Collection:
         return len(self._index)
 
     def insert_encoded(self, key, data: bytes) -> None:
-        """Store one document's BSON bytes under its ``_id``, as given."""
-        if not self._index.insert(key, data):
+        """Store one document's BSON bytes under its ``_id``, as given; a
+        duplicate ``_id`` raises and leaves the stored document as it was."""
+        if not self._index.insert_if_absent(key, data):
             raise StorageError(f"duplicate _id {key!r}")
         self.bytes_stored += len(data)
 

@@ -27,6 +27,7 @@ identical op streams produce identical digests byte for byte.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from repro.common.errors import ConfigurationError
 
@@ -37,12 +38,18 @@ DEFAULT_GROWTH = 1.05
 #: below any simulated service time, so bucket 0 is effectively "zero".
 DEFAULT_MIN_VALUE = 1e-6
 
+#: Bucket upper edges ``min_value * growth**i`` per ``(growth, min_value)``,
+#: shared by every digest of that geometry and extended on demand up to the
+#: largest value bucketed so far.  The edges are a pure function of the
+#: geometry, so sharing a table moves no index, only how far it has grown.
+_EDGES: dict[tuple[float, float], list[float]] = {}
+
 
 class QuantileDigest:
     """Mergeable log-bucketed quantile sketch with censored lower bounds."""
 
     __slots__ = (
-        "growth", "min_value", "_log_growth", "buckets", "censored_buckets",
+        "growth", "min_value", "_edges", "buckets", "censored_buckets",
         "count", "censored_count", "total", "censored_total", "min", "max",
     )
 
@@ -56,7 +63,7 @@ class QuantileDigest:
                 f"digest min_value must be > 0, got {min_value}")
         self.growth = growth
         self.min_value = min_value
-        self._log_growth = math.log(growth)
+        self._edges = _EDGES.setdefault((growth, min_value), [min_value])
         self.buckets: dict[int, int] = {}
         self.censored_buckets: dict[int, int] = {}
         self.count = 0
@@ -73,18 +80,29 @@ class QuantileDigest:
 
         Bucket ``i`` covers ``(edge(i-1), edge(i)]`` with
         ``edge(i) = min_value * growth**i``; bucket 0 is ``(-inf, min_value]``.
-        ``log`` alone can land a boundary value one bucket off (the
-        histogram.py off-by-one class of bug), so the estimate is nudged
-        until the invariant holds exactly.
+        The index is a bisection of the geometry's table of those very
+        edges, so a boundary value cannot land one bucket off (the
+        histogram.py off-by-one class of bug).  NaN raises ``ValueError``
+        and infinity ``OverflowError``.
         """
-        if value <= self.min_value:
-            return 0
-        index = int(math.log(value / self.min_value) / self._log_growth) + 1
-        while value > self.bucket_edge(index):
-            index += 1
-        while index > 0 and value <= self.bucket_edge(index - 1):
-            index -= 1
+        edges = self._edges
+        index = bisect_left(edges, value)
+        if index == len(edges):
+            return self._extend_edges(value)
+        if not index and value != value:
+            raise ValueError("cannot bucket NaN")
         return index
+
+    def _extend_edges(self, value: float) -> int:
+        """Extend the edge table until an edge reaches ``value`` (above
+        every edge so far); returns its bucket, the table's last index.
+        A value past the float range of the edges raises OverflowError."""
+        if value == math.inf:
+            raise OverflowError("cannot bucket an infinite value")
+        edges = self._edges
+        while edges[-1] < value:
+            edges.append(self.min_value * self.growth ** len(edges))
+        return len(edges) - 1
 
     def bucket_edge(self, index: int) -> float:
         """Upper edge of bucket ``index`` (the value a percentile reports)."""

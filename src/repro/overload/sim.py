@@ -29,7 +29,7 @@ from __future__ import annotations
 from math import log
 
 from repro.common.errors import SimulationError
-from repro.common.rng import SeedStream
+from repro.common.rng import SeedStream, TpchRandom64
 from repro.common.stats import arithmetic_mean, percentile
 from repro.overload.admission import (
     SHED_DEADLINE,
@@ -216,10 +216,16 @@ def overload_open_loop(
 
     # -- attempt / client processes -------------------------------------------
 
+    # Attempt k of op i draws from rng_for("op", i, k) and its class from
+    # rng_for("op-class", i): the same seeds, each prefix hashed once.
+    op_seed = seeds.counter("op")
+    fault_seed = seeds.counter("op-fault")
+    class_seed = seeds.counter("op-class")
+
     def attempt(index: int, k: int, state) -> object:
-        rng = seeds.rng_for("op", index, k)
+        rng = TpchRandom64(op_seed(index, k))
         fault_rng = (
-            seeds.rng_for("op-fault", index, k) if station_faults else None)
+            TpchRandom64(fault_seed(index, k)) if station_faults else None)
         op_class = state["class"]
         deadline = state["deadline"]
         prio = class_priority(op_class)
@@ -321,7 +327,7 @@ def overload_open_loop(
             if measured:
                 counters["arrivals"] += 1
             bump("arrivals", at)
-            cls_rng = seeds.rng_for("op-class", index)
+            cls_rng = TpchRandom64(class_seed(index))
             state = {
                 "index": index,
                 "intended": at,

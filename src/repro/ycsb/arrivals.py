@@ -11,9 +11,9 @@ have started in the meantime.
 An **open loop** decouples arrivals from completions: operations arrive on
 a Poisson process at a target rate whether or not the system keeps up, the
 way independent users do.  :class:`PoissonArrivals` generates that schedule
-deterministically (one :class:`~repro.common.rng.TpchRandom64` stream per
-seed, exponential inter-arrival gaps), so the frontier sweep's runs are
-byte-reproducible per seed.
+deterministically (one splitmix64 stream per seed, drawn a block at a time
+by :func:`~repro.common.rng.float_draws`, exponential inter-arrival gaps),
+so the frontier sweep's runs are byte-reproducible per seed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from typing import Iterator
 
 from repro.common.errors import SimulationError
-from repro.common.rng import TpchRandom64
+from repro.common.rng import float_draws
 
 
 class PoissonArrivals:
@@ -40,24 +40,28 @@ class PoissonArrivals:
             raise SimulationError(f"arrival rate must be > 0, got {rate:g}")
         self.rate = rate
         self.seed = seed
-        self._rng = TpchRandom64(seed)
+        # The floats TpchRandom64(seed).random_float() would give.
+        self._draw = float_draws(seed).__next__
         self._now = 0.0
 
     def next_arrival(self) -> float:
         """Advance to and return the next arrival time (monotone)."""
-        u = self._rng.random_float()
         # 1 - u is in (0, 1], so the log argument never hits zero and the
         # gap is non-negative and finite.
-        self._now += -math.log(1.0 - u) / self.rate
+        self._now += -math.log(1.0 - self._draw()) / self.rate
         return self._now
 
     def until(self, horizon: float) -> Iterator[float]:
-        """Yield every arrival time strictly before ``horizon``."""
+        """Yield every arrival time strictly before ``horizon``: the
+        arrivals ``next_arrival`` gives, with the loop's state in locals."""
+        draw, rate, log = self._draw, self.rate, math.log
+        now = self._now
         while True:
-            at = self.next_arrival()
-            if at >= horizon:
+            now += -log(1.0 - draw()) / rate
+            self._now = now
+            if now >= horizon:
                 return
-            yield at
+            yield now
 
     def take(self, count: int) -> list[float]:
         """The next ``count`` arrival times as a list."""

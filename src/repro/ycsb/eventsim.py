@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import log
 
 from repro.common.errors import FaultPlanError, SimulationError
-from repro.common.rng import SeedStream, float_draws
+from repro.common.rng import SeedStream, TpchRandom64, float_draws
 from repro.common.stats import arithmetic_mean, percentile, std_error
 from repro.simcluster.events import Environment, Resource
 
@@ -679,11 +679,13 @@ def simulate_open_loop(
 
     routes = station_routes(stations, resources, mix)
     thresholds = class_thresholds(mix)
+    # Op i draws from rng_for("op", i): the same seeds, the prefix hashed once.
+    op_seed = seeds.counter("op")
+    fault_seed = seeds.counter("op-fault")
 
     def operation(index: int, intended: float, measured: bool):
-        rng = seeds.rng_for("op", index)
-        random_float = rng.random_float
-        fault_rng = seeds.rng_for("op-fault", index) if station_faults else None
+        random_float = TpchRandom64(op_seed(index)).random_float
+        fault_rng = TpchRandom64(fault_seed(index)) if station_faults else None
         op_class = _pick_class(random_float(), thresholds)
         if measured:
             pending[index] = intended

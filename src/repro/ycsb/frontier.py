@@ -186,6 +186,24 @@ def find_knee(measure, slo: float, lo: float, hi: float | None = None,
 # -- sweep driver ----------------------------------------------------------------
 
 
+def check_slo_window(slo_ms: float, min_window_s: float) -> None:
+    """Refuse an SLO that is not well below the measured window.
+
+    Every measured op arrives after warmup, so no probe's p99 can exceed
+    its measured window, and a probe that completes nothing still reports
+    a censored p99 of about 0.99 x the window.  An SLO at or above half
+    the window (``min_window_s``, the window at high rates) could let such
+    a probe pass, and the knee search would double past every saturated
+    rate.  Raises :class:`ConfigurationError`.
+    """
+    if slo_ms / 1000.0 >= min_window_s / 2.0:
+        raise ConfigurationError(
+            f"--slo-ms {slo_ms:g} must be below half the frontier window "
+            f"(--frontier-window {min_window_s:g} s): a probe that completes "
+            f"nothing reports a p99 of about the window and would pass"
+        )
+
+
 def _point_dict(result, slo: float) -> dict:
     offered = result.offered_rate
     return {
@@ -311,7 +329,9 @@ def frontier_report(systems=None, workloads=None, *,
     ``concern`` re-derives every system model under a write concern (see
     :func:`apply_concern`).  Raises
     :class:`~repro.common.errors.SloUnreachableError` when any cell cannot
-    meet the SLO even at the bottom of its bracket.
+    meet the SLO even at the bottom of its bracket, and
+    :class:`ConfigurationError` for an SLO not well below the window
+    (:func:`check_slo_window`).
     """
     from repro.core.oltp import OltpStudy
 
@@ -329,6 +349,7 @@ def frontier_report(systems=None, workloads=None, *,
         raise ConfigurationError(
             f"frontier min_window_s must be > 0, got {min_window_s:g}"
         )
+    check_slo_window(slo_ms, min_window_s)
     if scale <= 0:
         raise ConfigurationError(f"frontier scale must be > 0, got {scale:g}")
     systems = tuple(systems) if systems else FRONTIER_SYSTEMS

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
+from repro.common.rng import TpchRandom64
 from repro.ycsb.arrivals import PoissonArrivals
 
 rates = st.floats(min_value=0.01, max_value=1e6,
@@ -38,6 +39,35 @@ class TestDeterminism:
     def test_schedule_is_pure_function_of_rate_and_seed(self, rate, seed):
         assert (PoissonArrivals(rate, seed).take(40)
                 == PoissonArrivals(rate, seed).take(40))
+
+
+def scalar_arrivals(rate, seed, count):
+    """The schedule drawn one ``TpchRandom64.random_float`` at a time."""
+    rng, now, times = TpchRandom64(seed), 0.0, []
+    for _ in range(count):
+        now += -math.log(1.0 - rng.random_float()) / rate
+        times.append(now)
+    return times
+
+
+class TestBlockDrawnSchedule:
+    """Arrivals come from block-drawn floats; the schedule must be the
+    scalar generator's bit for bit, past several blocks."""
+
+    @given(rates, st.integers(min_value=-(2**65), max_value=2**65),
+           st.integers(min_value=0, max_value=400))
+    @settings(max_examples=60, deadline=None)
+    def test_take_equals_the_scalar_reference(self, rate, seed, count):
+        assert (PoissonArrivals(rate, seed).take(count)
+                == scalar_arrivals(rate, seed, count))
+
+    def test_until_and_next_arrival_share_one_stream(self):
+        reference = scalar_arrivals(800.0, 9, 302)
+        schedule = PoissonArrivals(800.0, seed=9)
+        assert list(schedule.until(reference[299])) == reference[:299]
+        # until consumed the arrival at the horizon; the stream goes on.
+        assert schedule.next_arrival() == reference[300]
+        assert schedule.take(1) == reference[301:]
 
 
 class TestMonotonicity:

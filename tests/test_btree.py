@@ -25,6 +25,17 @@ class TestBasics:
         assert tree.get("k") == 2
         assert len(tree) == 1
 
+    def test_insert_if_absent_refuses_without_writing(self):
+        tree = BTree(order=4)
+        for i in range(40):  # several levels, so the refusal descends
+            assert tree.insert_if_absent(i, i)
+        writes = tree.writes
+        assert tree.insert_if_absent(17, "replacement") is False
+        assert tree.get(17) == 17
+        assert len(tree) == 40
+        assert tree.writes == writes + 1  # counted like insert and delete
+        assert list(tree.items()) == [(i, i) for i in range(40)]
+
     def test_contains_and_len(self):
         tree = BTree()
         for i in range(100):

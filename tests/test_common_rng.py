@@ -252,6 +252,23 @@ class TestSeedStream:
         assert a != stream.seed_for("ycsb", "b")
         assert a != SeedStream(43).seed_for("ycsb", "a")
 
+    @given(st.integers(-(2**70), 2**70),
+           st.lists(st.sampled_from(["op", "op-fault", "op-class", 7, ""]),
+                    min_size=1, max_size=3),
+           st.lists(st.one_of(st.integers(-(2**70), 2**70),
+                              st.sampled_from([0, -1, 2**64, 2**64 - 1])),
+                    min_size=1, max_size=2))
+    @settings(max_examples=200)
+    def test_counter_gives_seed_for_bit_for_bit(self, master, prefix, ints):
+        stream = SeedStream(master)
+        assert (stream.counter(*prefix)(*ints)
+                == stream.seed_for(*prefix, *ints))
+
+    def test_counter_without_counters_is_the_prefix_seed(self):
+        stream = SeedStream(11)
+        assert stream.counter("op")() == stream.seed_for("op")
+        assert stream.counter("op", 3)(4) == stream.seed_for("op", 3, 4)
+
     def test_rng_for_returns_distinct_streams(self):
         stream = SeedStream(1)
         r1 = stream.rng_for("x")

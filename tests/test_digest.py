@@ -117,6 +117,70 @@ class TestMerge:
             QuantileDigest(growth=1.05).merge(QuantileDigest(growth=1.1))
 
 
+def log_and_nudge_index(digest, value):
+    """The bucket index as it was computed before the edge table: a log
+    estimate nudged until ``edge(i-1) < value <= edge(i)``."""
+    if value <= digest.min_value:
+        return 0
+    index = int(math.log(value / digest.min_value)
+                / math.log(digest.growth)) + 1
+    while value > digest.bucket_edge(index):
+        index += 1
+    while index > 0 and value <= digest.bucket_edge(index - 1):
+        index -= 1
+    return index
+
+
+GEOMETRIES = [(DEFAULT_GROWTH, 1e-6), (1.1, 1e-3)]
+
+
+class TestBucketIndex:
+    """``bucket_index`` bisects a table of the bucket edges; it must give
+    the log-and-nudge index everywhere, edges included."""
+
+    @pytest.mark.parametrize("growth,min_value", GEOMETRIES)
+    def test_every_edge_and_its_neighbours(self, growth, min_value):
+        digest = QuantileDigest(growth, min_value)
+        values = [0.0, -0.0, -1.0, -math.inf, min_value, 5e-324]
+        for index in range(700):  # past 1e6 s in both geometries
+            edge = digest.bucket_edge(index)
+            values += [edge, math.nextafter(edge, 0.0),
+                       math.nextafter(edge, math.inf)]
+        for value in values:
+            assert (digest.bucket_index(value)
+                    == log_and_nudge_index(digest, value)), value
+
+    @pytest.mark.parametrize("growth,min_value", GEOMETRIES)
+    @given(values=st.lists(st.floats(min_value=-1.0, max_value=1e4,
+                                     allow_nan=False), max_size=50))
+    @settings(max_examples=60)
+    def test_random_latencies(self, growth, min_value, values):
+        digest = QuantileDigest(growth, min_value)
+        for value in values:
+            assert (digest.bucket_index(value)
+                    == log_and_nudge_index(digest, value)), value
+
+    def test_digests_of_one_geometry_share_the_table(self):
+        first, second = QuantileDigest(), QuantileDigest()
+        first.record(50.0)
+        assert second.bucket_index(50.0) == first.bucket_index(50.0)
+        assert second._edges is first._edges
+
+    @pytest.mark.parametrize("value,error", [
+        (math.inf, OverflowError), (math.nan, ValueError),
+    ])
+    def test_infinite_and_nan_raise_and_change_nothing(self, value, error):
+        digest = QuantileDigest()
+        digest.record_many([0.001, 0.2])
+        digest.record_censored(3.0)
+        before = digest.to_dict()
+        with pytest.raises(error):
+            digest.record(value)
+        with pytest.raises(error):
+            digest.record_censored(value)
+        assert digest.to_dict() == before
+
+
 class TestCensored:
     def test_censored_counts_toward_percentiles_not_mean(self):
         digest = QuantileDigest()

@@ -256,6 +256,17 @@ class TestMongod:
         m.insert("c", {"_id": "k", "v": 1})
         with pytest.raises(StorageError):
             m.insert("c", {"_id": "k", "v": 2})
+        # A refused insert writes nothing: the stored bytes and the byte
+        # count stay those of the original, even for a longer replacement.
+        original = {"_id": "k", "f": "original"}
+        m.insert("d", original)
+        stored = m.find_encoded("d", "k")
+        with pytest.raises(StorageError):
+            m.insert("d", {"_id": "k", "f": "a much longer replacement value"})
+        assert m.find_encoded("d", "k") == stored == bson.encode(original)
+        assert m.find_one("d", "k") == original
+        assert m.collection("d").bytes_stored == len(stored)
+        assert len(m.collection("d")) == 1
 
     def test_scan_ordered(self):
         m = Mongod("m0")

@@ -3,17 +3,22 @@
 import json
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.common.envelope import dumps_report, write_report
 from repro.common.errors import ConfigurationError, SloUnreachableError
+from repro.ycsb.eventsim import SimStation, simulate_open_loop
 from repro.ycsb.frontier import (
     FRONTIER_SYSTEMS,
     LADDER_FRACTIONS,
     SCHEMA,
     apply_concern,
+    check_slo_window,
     find_knee,
     frontier_report,
+    frontier_row,
     frontier_system_models,
     render_frontier_report,
     validate_frontier_report,
@@ -211,6 +216,52 @@ class TestReport:
             frontier_report(**dict(SMOKE, **override))
 
 
+class _StuckStudy:
+    """A study whose one station never finishes an op within a probe: every
+    measured arrival is still in flight at cutoff.  The ladder's probes run;
+    a knee search that passed its first probe would double past them."""
+
+    PEAK = 2000.0
+
+    def peak_throughput(self, system_name, workload):
+        return self.PEAK
+
+    def open_loop_point(self, system_name, workload, rate, *, duration,
+                        warmup, seed, **_):
+        assert rate <= max(LADDER_FRACTIONS) * self.PEAK, (
+            f"a probe that completed nothing passed; searching on at {rate:g}")
+        stuck = SimStation("stuck", 1, {"read": 1e12, "update": 1e12})
+        return simulate_open_loop([stuck], {"read": 0.5, "update": 0.5},
+                                  rate, duration=duration, warmup=warmup,
+                                  seed=seed)
+
+
+class TestSloAgainstWindow:
+    """An SLO must sit well below the measured window: a probe that
+    completes nothing reports a censored p99 of about the window."""
+
+    def test_half_the_window_is_refused(self):
+        with pytest.raises(ConfigurationError, match="--frontier-window"):
+            check_slo_window(100.0, 0.2)
+        with pytest.raises(ConfigurationError):
+            frontier_report(**dict(SMOKE, slo_ms=100.0))
+        check_slo_window(99.999, 0.2)
+
+    @given(st.floats(0.01, 1.0), st.floats(0.01, 600.0))
+    @example(0.2, 99.9)  # just below half the window
+    @settings(max_examples=25, deadline=None)
+    def test_accepted_slos_fail_a_zero_completion_probe(self, window, slo_ms):
+        try:
+            check_slo_window(slo_ms, window)
+        except ConfigurationError:
+            assume(False)
+        # The lowest probe completes nothing, so knee_p99 must fail it: the
+        # search stops there instead of passing the saturated rate.
+        with pytest.raises(SloUnreachableError):
+            frontier_row(_StuckStudy(), "stuck", "A", slo_ms=slo_ms, seed=11,
+                         measure_ops=200, warmup_ops=50, min_window_s=window)
+
+
 class TestValidationRejections:
     def mutated(self, report, **changes):
         clone = json.loads(dumps_report(report))
@@ -285,12 +336,26 @@ class TestCli:
         args[args.index("mongo-as")] = "riak"
         assert main(args) == 2
 
-    def test_write_concern_composes_with_frontier(self, capsys):
+    def test_write_concern_composes_with_frontier(self, tmp_path, capsys):
         # Journaled writes wait on the 100 ms group flush, so the smoke
-        # SLO must come back up to the default (the last --slo-ms wins).
+        # SLO must come back up to the default, and the window above twice
+        # the SLO (the last --slo-ms and --frontier-window win).
+        path = tmp_path / "safe.json"
         assert main(self.ARGS + ["--write-concern", "safe",
-                                 "--slo-ms", "250"]) == 0
+                                 "--slo-ms", "250", "--frontier-window", "1.0",
+                                 "--frontier-report", str(path)]) == 0
         assert "concern safe" in capsys.readouterr().out
+        assert json.loads(path.read_text())["rows"][0]["knee"]["bracketed"]
+
+    def test_slo_not_below_the_window_exits_2(self, capsys):
+        # A 250 ms SLO against a 0.1 s window passed every probed rate and
+        # reported an unbracketed knee hundreds of times the MVA peak.
+        assert main(self.ARGS + ["--write-concern", "safe",
+                                 "--slo-ms", "250"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "--frontier-window" in err[0]
 
     def test_write_concern_still_gated_without_a_mode(self, capsys):
         assert main(["oltp", "--write-concern", "safe"]) == 2
