@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add
 
 
@@ -95,18 +95,26 @@ def scaling_factors(times_by_sf: Sequence[float]) -> list[float]:
     return factors
 
 
+@lru_cache(maxsize=16, typed=True)
+def _harmonic_head(s: float) -> float:
+    """The first 10,000 terms of H_{n,s}, summed once per exponent."""
+    return fold_sum(1.0 / i**s for i in range(1, 10_001))
+
+
 def harmonic_number(n: int, s: float = 1.0) -> float:
     """Generalized harmonic number H_{n,s} = sum_{i=1..n} 1/i^s.
 
     Used by the zipfian request generator and the analytic cache-hit model.
-    For large ``n`` with ``s != 1`` an Euler-Maclaurin approximation is used
-    so YCSB-scale populations (hundreds of millions of keys) stay cheap.
+    Up to ``n = 10,000`` the terms are summed.  Past that the 10,000-term
+    head (cached per exponent, since every large ``n`` shares it) is
+    followed by an Euler-Maclaurin tail, so YCSB-scale populations
+    (hundreds of millions of keys) stay cheap.
     """
     if n <= 0:
         raise ValueError("harmonic_number requires n >= 1")
     if n <= 10_000:
         return fold_sum(1.0 / i**s for i in range(1, n + 1))
-    head = fold_sum(1.0 / i**s for i in range(1, 10_001))
+    head = _harmonic_head(s)
     # Integral approximation of the tail plus second-order correction.
     if abs(s - 1.0) < 1e-12:
         tail = math.log(n) - math.log(10_000)

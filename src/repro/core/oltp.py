@@ -173,23 +173,32 @@ def closed_mva(stations: list[Station], mix: dict[str, float], clients: int,
                think_time: float) -> tuple[float, float, dict[str, float]]:
     """Exact single-class MVA with the Seidmann multi-server approximation.
 
-    Returns (throughput, avg response time, queue length per station).
+    Returns (throughput, avg response time, queue length per station), the
+    queue lengths keyed by station name in station order.  A station's
+    demand per server and its Seidmann delay term do not depend on the
+    population, so they are computed once per call; each population step
+    then does the same float operations, in the same order, as evaluating
+    ``(d / c) * (1 + q) + d * (c - 1) / c`` afresh.
     """
-    queue = {s.name: 0.0 for s in stations}
+    per_server = []
+    delays = []
+    for s in stations:
+        d = s.demand(mix)
+        per_server.append(d / s.servers)
+        delays.append(d * (s.servers - 1) / s.servers)
+    queues = [0.0] * len(stations)
     x = 0.0
     response = 0.0
     for n in range(1, clients + 1):
         response = 0.0
-        station_r = {}
-        for s in stations:
-            d = s.demand(mix)
-            r = (d / s.servers) * (1.0 + queue[s.name]) + d * (s.servers - 1) / s.servers
-            station_r[s.name] = (d / s.servers) * (1.0 + queue[s.name])
-            response += r
+        station_r = []
+        for demand, delay, q in zip(per_server, delays, queues):
+            r = demand * (1.0 + q)
+            station_r.append(r)
+            response += r + delay
         x = n / (response + think_time)
-        for s in stations:
-            queue[s.name] = x * station_r[s.name]
-    return x, response, queue
+        queues = [x * r for r in station_r]
+    return x, response, {s.name: q for s, q in zip(stations, queues)}
 
 
 class OltpStudy:

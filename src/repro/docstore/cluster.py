@@ -273,7 +273,10 @@ class HashShardedCluster(ShardedCluster):
     A subclass supplies the one-shard storage calls ``_insert``, ``_read``,
     ``_update``, ``_scan_entries`` (``(key, encoded)`` entries in key
     order), ``_keys`` (every key on the shard) and ``_remove``, plus
-    ``_decode(key, data)``, which turns one kept entry into a scan row.
+    ``_decode(key, data)``, which turns one kept entry into a scan row, and
+    the arc handoff's copy step: ``_copy_out(shard, key)`` reads one row in
+    the form the store copies it (None if absent) and ``_copy_in(shard,
+    key, item)`` writes it to the new owner.
     """
 
     def __init__(self, shard_count: int, *, elastic: bool = False, **kwargs):
@@ -371,11 +374,11 @@ class HashShardedCluster(ShardedCluster):
         copied: list[str] = []
         try:
             for key in keys:
-                record = self._read(source, key)
-                if record is None:
+                item = self._copy_out(source, key)
+                if item is None:
                     continue
                 self._remove(dest, key)
-                self._insert(dest, key, record)
+                self._copy_in(dest, key, item)
                 copied.append(key)
         except ServerCrashed as exc:
             try:
@@ -486,6 +489,14 @@ class _MongoShards:
 
     def _update(self, shard: int, key: str, fieldname: str, value) -> bool:
         return self.shards[shard].update(self.collection, key, fieldname, value)
+
+    # An arc handoff copies the stored BSON bytes, neither decoded nor
+    # re-encoded (the document carries its own _id).
+    def _copy_out(self, shard: int, key: str) -> bytes | None:
+        return self.shards[shard].find_encoded(self.collection, key)
+
+    def _copy_in(self, shard: int, key: str, data: bytes) -> None:
+        self.shards[shard].insert_encoded(self.collection, key, data)
 
     def _scan_entries(self, shard: int, start_key: str,
                       count: int) -> list[tuple]:

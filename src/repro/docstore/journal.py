@@ -139,10 +139,18 @@ class JournaledMongod:
         self.journal.maybe_flush(self.clock)
 
     def insert(self, collection: str, document: dict) -> None:
-        """Encode once: the journal entry and mongod hold the same bytes."""
+        """Encode once: the journal entry and mongod hold the same bytes.
+
+        Only an insert mongod will accept is journaled.  A duplicate
+        ``_id`` leaves no entry for recovery to bring back, and mongod
+        refuses it as a bare mongod does: one op and a write hold, then
+        ``StorageError``.  The check reads the collection directly, so no
+        insert counts an extra op."""
         key = document["_id"]
         data = bson.encode(document)
-        self.journal.append(self.clock, JournalOp.INSERT, collection, key, data)
+        if self.mongod.collection(collection).find_encoded(key) is None:
+            self.journal.append(self.clock, JournalOp.INSERT, collection,
+                                key, data)
         self.mongod.insert_encoded(collection, key, data)
 
     def update(self, collection: str, key, fieldname: str, value) -> bool:

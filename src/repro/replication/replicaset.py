@@ -38,7 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.common.errors import ConfigurationError, ReplicaSetUnavailable
+from repro.common.errors import (
+    ConfigurationError,
+    ReplicaSetUnavailable,
+    StorageError,
+)
 from repro.common.rng import SeedStream
 from repro.docstore import bson
 from repro.docstore.journal import FLUSH_INTERVAL, Journal, JournalOp
@@ -524,7 +528,15 @@ class ReplicaSet:
 
     def insert_encoded(self, collection: str, key, data: bytes) -> None:
         """Replicate one document's stored BSON bytes: the oplog entry
-        carries them, and every member stores them as they are."""
+        carries them, and every member stores them as they are.
+
+        A duplicate ``_id`` is refused at the primary, with the error
+        mongod raises, before any oplog entry or journal append exists.
+        The check reads the primary's collection directly, so an accepted
+        insert counts the same mongod ops and lock holds as before."""
+        primary = self._require_primary()
+        if primary.mongod.collection(collection).find_encoded(key) is not None:
+            raise StorageError(f"duplicate _id {key!r}")
         self._write(JournalOp.INSERT, collection, key, data)
 
     def update(self, collection: str, key, fieldname: str, value) -> bool:

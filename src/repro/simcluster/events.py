@@ -8,17 +8,26 @@ SimPy's process-interaction style but is self-contained (no external
 dependency) and fully deterministic: ties in the event heap are broken by
 insertion order.
 
-A heap entry is ``(when, sequence, fire, arg)``: the loop in
-:meth:`Environment.run` sets the clock to ``when`` and calls
-``fire(arg)``.  ``(when, sequence)`` is unique, so nothing past it is ever
-compared.  An event's entry fires it and runs its callbacks.  A process
-wakes without any event object: when it yields a ``float`` delay it
-pushes its own resume callback, keyed ``(now + delay, sequence)`` exactly
-as a :class:`Timeout` built at that moment would be, and a new process
-pushes its start entry the same way.  A :class:`Resource` grant that finds
-a free server has already fired when :meth:`Resource.request` returns it,
-so the requesting process continues without a heap round trip (the
-simulators check :attr:`Event.triggered` and do not yield it at all).
+A heap entry is ``(when, sequence, target, arg)``.  An event's entry is
+``(when, sequence, _fire, event)``: :meth:`Environment.run` sets the clock
+to ``when`` and calls ``_fire(event)``, which fires the event and runs its
+callbacks.  A process start or wake-up entry names the process itself,
+``(when, sequence, process, None)``, and ``run`` sends into its generator
+directly.  ``(when, sequence)`` is unique, so nothing past it is ever
+compared.  A process that yields a ``float`` delay gets the key a
+:class:`Timeout` built at that moment would get, ``(now + delay,
+sequence)``; a new process pushes its start entry the same way.  When a
+process ``run`` woke yields such a delay, ``run`` keeps the new entry
+pending and merges it with the next dispatch through ``heappushpop``: one
+sift instead of a push and a pop, and no heap access at all when the entry
+is the earliest.  The pending entry is back in the heap before any other
+entry fires and whenever ``run`` returns, so pushes, dispatches and the
+entries left queued are counted as if it had been pushed at once.  Every
+other step of a process (finishing, waiting on an event, a bad yield) goes
+through :class:`Process`.  A :class:`Resource` grant that finds a free
+server has already fired when :meth:`Resource.request` returns it, so the
+requesting process continues without a heap round trip (the simulators
+check :attr:`Event.triggered` and do not yield it at all).
 Events are slotted objects, because the simulators create some per
 simulated op.
 """
@@ -27,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Generator
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from typing import Any, Callable, Optional
 
 from repro.common.errors import SimulationError
@@ -126,29 +135,34 @@ class Process(Event):
     def __init__(self, env: "Environment", generator: Generator):
         super().__init__(env)
         self._send = generator.send
-        # One bound method for every wait.  It refers back to the process,
-        # so it is dropped when the generator returns: a finished process
-        # is then freed by reference counting, not by the cyclic collector.
+        # One bound method for every wait on an event.  It refers back to
+        # the process, so it is dropped when the generator returns: a
+        # finished process is then freed by reference counting, not by the
+        # cyclic collector.
         self._resume_callback = self._resume
-        # Start: resume once at the current time, from an entry of its own.
+        # Start: woken once at the current time, from an entry of its own.
         env._sequence += 1
-        heappush(env._queue,
-                 (env.now, env._sequence, self._resume_callback, None))
+        heappush(env._queue, (env.now, env._sequence, self, None))
 
-    def _resume(self, event: Optional[Event]) -> None:
-        """Send into the generator until it waits; ``None`` is a wake-up."""
+    def _resume(self, event: Event) -> None:
+        """Callback of a waited-on event: send its value into the generator."""
+        try:
+            target = self._send(event.value)
+        except StopIteration as stop:
+            self._finish(stop.value)
+            return
+        self._wait_on(target)
+
+    def _wait_on(self, target: Any) -> None:
+        """Act on what the generator yielded, until it waits.
+
+        A ``float`` delay pushes the wake-up entry; an event that has not
+        fired gets the resume callback.  An event that has already fired (a
+        free server's grant) is sent straight back in: a loop, so a long run
+        of them never recurses.
+        """
         send = self._send
-        value = None if event is None else event.value
-        # Keep sending while the yielded event has already fired (a free
-        # server's grant): a loop, so a long run of them never recurses.
         while True:
-            try:
-                target = send(value)
-            except StopIteration as stop:
-                self._resume_callback = None
-                if not self.triggered:
-                    self.succeed(stop.value)
-                return
             if type(target) is float:
                 # Pushed at the yield, so the key is the one a Timeout
                 # built just before it would have taken.
@@ -156,8 +170,8 @@ class Process(Event):
                     raise SimulationError(f"negative timeout {target}")
                 env = self.env
                 env._sequence += 1
-                heappush(env._queue, (env.now + target, env._sequence,
-                                      self._resume_callback, None))
+                heappush(env._queue,
+                         (env.now + target, env._sequence, self, None))
                 return
             if not isinstance(target, Event):
                 raise SimulationError(
@@ -167,7 +181,17 @@ class Process(Event):
             if not target._fired:
                 target._callbacks.append(self._resume_callback)
                 return
-            value = target.value
+            try:
+                target = send(target.value)
+            except StopIteration as stop:
+                self._finish(stop.value)
+                return
+
+    def _finish(self, value: Any) -> None:
+        """The generator returned: fire the process event with its value."""
+        self._resume_callback = None
+        if not self.triggered:
+            self.succeed(value)
 
 
 class Environment:
@@ -188,8 +212,9 @@ class Environment:
         self.metrics = metrics
         self.sampler = sampler
         self.prof = prof
-        # (when, sequence, fire, arg): see the module docstring.
-        self._queue: list[tuple[float, int, Callable[[Any], None], Any]] = []
+        # (when, sequence, _fire, event) or (when, sequence, process, None):
+        # see the module docstring.
+        self._queue: list[tuple[float, int, Any, Any]] = []
         # Bumped by every heap push, so pushes = sequence delta.
         self._sequence = 0
         # The one already-fired grant every free-server request returns.
@@ -222,16 +247,38 @@ class Environment:
             pushed_before, queued_before = self._sequence, len(queue)
             prof.enter("eventsim.loop")
         limit = float("inf") if until is None else until
+        # The entry of a wake-up this loop built and has not yet pushed.
+        pending = None
         try:
-            while queue:
-                when, sequence, fire, arg = heappop(queue)
+            while True:
+                if pending is not None:
+                    entry = heappushpop(queue, pending)
+                    pending = None
+                elif queue:
+                    entry = heappop(queue)
+                else:
+                    break
+                when, sequence, target, event = entry
                 if when > limit:
                     # Put it back; (when, sequence) keys are unique, so the
                     # dispatch order of the remaining entries is unchanged.
-                    heappush(queue, (when, sequence, fire, arg))
+                    heappush(queue, entry)
                     break
                 self.now = when
-                fire(arg)
+                if event is not None:
+                    target(event)
+                    continue
+                # A process start or wake-up: send into it here.
+                try:
+                    yielded = target._send(None)
+                except StopIteration as stop:
+                    target._finish(stop.value)
+                    continue
+                if type(yielded) is float and yielded >= 0:
+                    self._sequence = sequence = self._sequence + 1
+                    pending = (when + yielded, sequence, target, None)
+                else:
+                    target._wait_on(yielded)
             if until is not None:
                 self.now = until
         finally:

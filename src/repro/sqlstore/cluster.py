@@ -66,6 +66,11 @@ class SqlCsCluster(HashShardedCluster):
     def _update(self, shard: int, key: str, fieldname: str, value: str) -> bool:
         return self.shards[shard].update(key, fieldname, value)
 
+    # An arc handoff copies the decoded row: a read that returns the stored
+    # bytes would need the same S lock and pool access as ``read``.
+    _copy_out = _read
+    _copy_in = _insert
+
     def _scan_entries(self, shard: int, start_key: str,
                       count: int) -> list[tuple[str, bytes]]:
         return self.shards[shard].scan_entries(start_key, count)

@@ -131,3 +131,20 @@ class TestHarmonicNumber:
     def test_invalid(self):
         with pytest.raises(ValueError):
             harmonic_number(0)
+
+    @pytest.mark.parametrize("s", [0.99, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [1, 10_000, 10_001, 640_000_000])
+    def test_cached_head_equals_the_uncached_sum(self, n, s):
+        """The 10,000-term head is summed once per exponent; every value
+        equals summing it afresh, bit for bit, on repeated calls too."""
+        if n <= 10_000:
+            want = fold_sum(1.0 / i**s for i in range(1, n + 1))
+        else:
+            head = fold_sum(1.0 / i**s for i in range(1, 10_001))
+            if s == 1.0:
+                tail = math.log(n) - math.log(10_000)
+            else:
+                tail = (n ** (1.0 - s) - 10_000 ** (1.0 - s)) / (1.0 - s)
+            want = head + tail + 0.5 * (1.0 / n**s - 1.0 / 10_000**s)
+        for _ in range(2):
+            assert repr(harmonic_number(n, s=s)) == repr(want)

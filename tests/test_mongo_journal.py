@@ -150,6 +150,26 @@ class TestStoredImages:
         assert node.mongod.collection("c").find_encoded("k") == image
 
 
+class TestRefusedInsert:
+    def test_refused_duplicate_is_not_journaled(self):
+        """A refused duplicate insert used to reach the journal before
+        mongod refused it: the live store kept the original, but recovery
+        replayed the refused replacement (2 journal entries)."""
+        node = JournaledMongod(Mongod("m"))
+        original = {"_id": "k", "f": "original"}
+        node.insert("c", original)
+        with pytest.raises(StorageError, match="duplicate _id"):
+            node.insert("c", {"_id": "k",
+                              "f": "a much longer replacement value"})
+        assert node.find_one("c", "k") == original
+        assert [e.key for e in node.journal.entries] == ["k"]
+        node.advance(0.15)
+        assert node.crash_and_recover().find_one("c", "k") == original
+        # Refused by mongod itself: one op and a write hold, as before.
+        assert (node.mongod.ops, node.mongod.lock.read_acquisitions,
+                node.mongod.lock.write_acquisitions) == (3, 1, 2)
+
+
 class TestDurabilityGap:
     """The paper's §3.4.1 argument, executed."""
 

@@ -31,6 +31,42 @@ class TestMva:
         x10, _, _ = closed_mva([ten], {"read": 1.0}, 200, 0.0)
         assert x10 == pytest.approx(x1 * 10, rel=0.05)
 
+    @staticmethod
+    def _reference_mva(stations, mix, clients, think_time):
+        """The loop closed_mva replaced: every station's demand and
+        Seidmann term recomputed at every population step."""
+        queue = {s.name: 0.0 for s in stations}
+        x = 0.0
+        response = 0.0
+        for n in range(1, clients + 1):
+            response = 0.0
+            station_r = {}
+            for s in stations:
+                d = s.demand(mix)
+                r = ((d / s.servers) * (1.0 + queue[s.name])
+                     + d * (s.servers - 1) / s.servers)
+                station_r[s.name] = (d / s.servers) * (1.0 + queue[s.name])
+                response += r
+            x = n / (response + think_time)
+            for s in stations:
+                queue[s.name] = x * station_r[s.name]
+        return x, response, queue
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_matches_reference_loop_bit_for_bit(self, study, system,
+                                                workload):
+        stations = study._stations(SYSTEMS[system], WORKLOADS[workload])
+        mix = study._mix(WORKLOADS[workload])
+        names = [s.name for s in stations]
+        assert len(set(names)) == len(names)
+        for clients, think in ((800, 0.0), (800, 0.013), (800, 0.4),
+                               (40, 2.5)):
+            got = closed_mva(stations, mix, clients, think)
+            want = self._reference_mva(stations, mix, clients, think)
+            assert repr(got) == repr(want)
+            assert list(got[2]) == names
+
 
 class TestCacheModel:
     def test_mongo_misses_more_than_sql(self, study):

@@ -247,6 +247,31 @@ class TestReplicaSet:
         assert rs.unavailable_seconds() >= DEFAULT_ELECTION_TIMEOUT
 
 
+    @pytest.mark.parametrize("concern", [SAFE, MAJORITY],
+                             ids=["w1", "majority"])
+    def test_duplicate_insert_is_refused_at_the_primary(self, concern):
+        """A duplicate ``_id`` used to be acknowledged: every member
+        journaled the replacement before ``apply`` skipped it, so a journal
+        replay gave the replacement.  It is refused before the oplog."""
+        from repro.common.errors import StorageError
+
+        rs = make_set(concern=concern)
+        rs.insert("c", {"_id": "k", "f": "original"})
+        rs.settle(rs.now + 1.0)
+        before = [(m.journal.replay(), m.mongod.collection("c")
+                   .find_encoded("k"), m.mongod.ops) for m in rs.members]
+        oplog = len(rs.oplog)
+        with pytest.raises(StorageError, match="duplicate _id 'k'"):
+            rs.insert("c", {"_id": "k",
+                            "f": "a much longer replacement value"})
+        rs.settle(rs.now + 1.0)
+        assert len(rs.oplog) == oplog
+        assert [(m.journal.replay(), m.mongod.collection("c")
+                 .find_encoded("k"), m.mongod.ops)
+                for m in rs.members] == before
+        assert rs.find_one("c", "k") == {"_id": "k", "f": "original"}
+
+
 class TestMirroredSqlServer:
     def test_synchronous_commit_charges_latency(self):
         node = MirroredSqlServerNode("m")

@@ -420,6 +420,38 @@ class TestArcHandoffKeyBounds:
             assert cluster.read(key) == {"field0": key}
 
 
+class TestArcHandoffCopiesStoredBytes:
+    def test_mongo_cs_handoff_neither_decodes_nor_encodes(self, monkeypatch,
+                                                          spy_calls):
+        """Scaling an elastic 2-shard Mongo-CS cluster of 200 records to 4
+        hands off 111 documents.  Each was copied through a decoding read
+        and an encoding insert (111 ``bson.decode`` and 111 ``bson.encode``
+        calls); the copy step now moves the stored bytes as they are."""
+        from repro.docstore import bson
+
+        cluster = MongoCsCluster(shard_count=2, elastic=True)
+        records = {make_key(i): {"field0": f"v{i}", "field1": "x" * (i % 7)}
+                   for i in range(200)}
+        for key, record in records.items():
+            cluster.insert(key, record)
+        engine = cluster.attach_reshard()
+        calls = spy_calls((bson, "encode"), (bson, "decode"))
+        cluster.scale_to(4, now=0.0)
+        end = engine.run_to_completion(0.0)
+        cluster.tick(end + 1.0)
+        assert calls == []
+        monkeypatch.undo()
+        assert engine.moved_docs == 111
+        # Every document sits on its new owner as the bytes decoding and
+        # re-encoding stored, and nowhere else.
+        for key, record in records.items():
+            held = [shard.collection(cluster.collection).find_encoded(key)
+                    for shard in cluster.shards]
+            owner = cluster.ring.node_for(key)
+            assert held[owner] == bson.encode({"_id": key, **record})
+            assert sum(data is not None for data in held) == 1
+
+
 class TestReshardReport:
     def test_validates(self, report):
         validate_reshard_report(report)
